@@ -53,7 +53,6 @@ from .theta import (
     block_diag,
     even_theta_constants,
     generic_siegel_point,
-    min_im_eigenvalue,
     point_from_json,
     point_to_json,
     random_siegel_point,

@@ -2,7 +2,25 @@
 
 from __future__ import annotations
 
-__all__ = ["rref", "kernel_basis"]
+__all__ = ["reduce_row", "augment", "rref", "kernel_basis"]
+
+
+def reduce_row(row: int, pivots: dict[int, int]) -> int:
+    """Clear the top bit of row with the pivot row holding that top bit
+    (pivots maps top-bit position -> row) until no pivot matches; the
+    result is 0 exactly when row lies in the pivots' span."""
+    while row:
+        pivot = pivots.get(row.bit_length() - 1)
+        if pivot is None:
+            return row
+        row ^= pivot
+    return 0
+
+
+def augment(row: int) -> int:
+    """row with a constant 1 appended as its lowest bit; a relation among
+    augmented rows has even cardinality."""
+    return (row << 1) | 1
 
 
 def rref(rows) -> tuple[int, ...]:
@@ -13,12 +31,9 @@ def rref(rows) -> tuple[int, ...]:
     """
     pivots: dict[int, int] = {}  # top-bit position -> row with that pivot
     for row in rows:
-        while row:
-            t = row.bit_length() - 1
-            if t not in pivots:
-                pivots[t] = row
-                break
-            row ^= pivots[t]
+        row = reduce_row(row, pivots)
+        if row:
+            pivots[row.bit_length() - 1] = row
     # Clear every pivot bit from the other rows, lowest pivot first so a
     # pass never reintroduces an already-cleaned bit.
     for t in sorted(pivots):
@@ -36,19 +51,15 @@ def kernel_basis(vectors) -> tuple[int, ...]:
     """
     p = len(vectors)
     # Track combinations through an indicator tail; a row whose vector
-    # part cancels leaves the combination that produced it.
+    # part cancels leaves the combination that produced it.  Every pivot
+    # has its top bit in the vector part, so reduction stops there.
     pivots: dict[int, int] = {}
     kernel: list[int] = []
     for i, v in enumerate(vectors):
-        row = (v << p) | (1 << (p - 1 - i))
-        while row >> p:
-            t = row.bit_length() - 1
-            if t not in pivots:
-                pivots[t] = row
-                row = 0
-                break
-            row ^= pivots[t]
-        if row:
+        row = reduce_row((v << p) | (1 << (p - 1 - i)), pivots)
+        if row >> p:
+            pivots[row.bit_length() - 1] = row
+        else:
             kernel.append(row)
     return rref(kernel)
 

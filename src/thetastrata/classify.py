@@ -26,13 +26,16 @@ from functools import cache
 
 import numpy as np
 
+from ._gf2 import augment, reduce_row
 from .chars import (
     Characteristic,
     CharTuple,
     all_characteristics,
+    pairing,
     parity,
     product_split_tuple,
     split,
+    swap,
 )
 from .errors import CapExceededError
 from .forms import evaluate_forms
@@ -123,35 +126,6 @@ class SplitWitness:
         }
 
 
-def _code(m: Characteristic) -> tuple[int, int]:
-    e = d = 0
-    for be, bd in zip(m.eps, m.delta):
-        e = (e << 1) | be
-        d = (d << 1) | bd
-    return e, d
-
-
-def _pairing(a: tuple[int, int], b: tuple[int, int]) -> int:
-    # symplectic pairing <a, b> = eps_a . delta_b + eps_b . delta_a mod 2
-    return ((a[0] & b[1]).bit_count() + (b[0] & a[1]).bit_count()) & 1
-
-
-def _augmented(code: tuple[int, int], g: int) -> int:
-    # (eps bits | delta bits | 1); the trailing 1 restricts relations to
-    # even cardinality
-    return (((code[0] << g) | code[1]) << 1) | 1
-
-
-def _in_span(aug_value: int, pivots: dict[int, int]) -> bool:
-    row = aug_value
-    while row:
-        t = row.bit_length() - 1
-        if t not in pivots:
-            return False
-        row ^= pivots[t]
-    return True
-
-
 class _RefTuple:
     """Precomputed incremental structure of the reference tuple I_k, with
     positions reordered so linear dependencies appear as early as
@@ -160,18 +134,18 @@ class _RefTuple:
 
     def __init__(self, ref: CharTuple):
         g = ref.genus
-        orig_codes = [_code(m) for m in ref]
-        aug = [_augmented(c, g) for c in orig_codes]
+        orig_codes = [m.code for m in ref]
+        aug = [augment(c) for c in orig_codes]
         n = self.n = len(orig_codes)
 
         def count_forced(pivots, remaining):
-            return sum(1 for r in remaining if _in_span(aug[r], pivots))
+            return sum(1 for r in remaining if reduce_row(aug[r], pivots) == 0)
 
         order: list[int] = []
         pivots: dict[int, int] = {}
         remaining = list(range(n))
         while remaining:
-            forced = [r for r in remaining if _in_span(aug[r], pivots)]
+            forced = [r for r in remaining if reduce_row(aug[r], pivots) == 0]
             if forced:
                 pick = forced[0]
             else:
@@ -180,13 +154,8 @@ class _RefTuple:
                 best = None
                 for r in remaining:
                     trial = dict(pivots)
-                    row = aug[r]
-                    while row:
-                        t = row.bit_length() - 1
-                        if t not in trial:
-                            trial[t] = row
-                            break
-                        row ^= trial[t]
+                    row = reduce_row(aug[r], trial)
+                    trial[row.bit_length() - 1] = row
                     score = count_forced(trial, [x for x in remaining if x != r])
                     if best is None or score > best[0]:
                         best = (score, r, trial)
@@ -195,28 +164,21 @@ class _RefTuple:
             remaining.remove(pick)
 
         self.order = order  # search position -> original reference index
-        self.codes = [orig_codes[i] for i in order]
-        searched_aug = [aug[i] for i in order]
         # dependency, in search order: None if independent of the search
-        # prefix, else indices (search positions) summing to it
-        pivots2: dict[int, tuple[int, int]] = {}
+        # prefix, else indices (search positions) summing to it.  Rows
+        # carry an indicator tail of n bits (bit i for search position i)
+        # that records the combination a reduction used.
+        pivots = {}
         self.dependency: list[tuple[int, ...] | None] = []
-        for i, row in enumerate(searched_aug):
-            mask = 1 << i
-            while row:
-                t = row.bit_length() - 1
-                if t not in pivots2:
-                    pivots2[t] = (row, mask)
-                    self.dependency.append(None)
-                    break
-                prow, pmask = pivots2[t]
-                row ^= prow
-                mask ^= pmask
-            if len(self.dependency) == i:
-                self.dependency.append(tuple(j for j in range(i) if (mask >> j) & 1))
-        self.pairings = [
-            [_pairing(self.codes[i], self.codes[j]) for j in range(n)] for i in range(n)
-        ]
+        for i, ref_idx in enumerate(order):
+            row = reduce_row((aug[ref_idx] << n) | (1 << i), pivots)
+            if row >> n:
+                pivots[row.bit_length() - 1] = row
+                self.dependency.append(None)
+            else:
+                self.dependency.append(tuple(j for j in range(i) if (row >> j) & 1))
+        codes = [orig_codes[i] for i in order]
+        self.pairings = [[pairing(a, b, g) for b in codes] for a in codes]
 
 
 @cache
@@ -256,8 +218,9 @@ def detect_split(
     if len(members) < n:
         return SplitWitness(False, k, None, 0)
 
-    codes = [_code(m) for m in members]
-    aug = [_augmented(c, g) for c in codes]
+    codes = [m.code for m in members]
+    swapped = [swap(c, g) for c in codes]
+    aug = [augment(c) for c in codes]
     by_aug = {a: i for i, a in enumerate(aug)}
     n_cand = len(codes)
 
@@ -268,20 +231,14 @@ def detect_split(
     pivot_stack: list[int | None] = []
     nodes = 0
 
-    def reduce_aug(row: int) -> int:
-        while row:
-            t = row.bit_length() - 1
-            if t not in pivots:
-                return row
-            row ^= pivots[t]
-        return 0
-
     def triples_ok(ci: int, pos: int) -> bool:
         # e(s_i + s_j + c) = e(m_i + m_j + m_pos) for all placed i < j,
-        # folded into a single two-coloring consistency scan
+        # folded into a single two-coloring consistency scan; the pairing
+        # <a, c> is (a & swap(c)).bit_count() & 1
         want = None
+        c = swapped[ci]
         for i in range(len(chosen)):
-            x = _pairing(codes[chosen[i]], codes[ci]) ^ ref.pairings[i][pos] ^ colors[i]
+            x = ((codes[chosen[i]] & c).bit_count() & 1) ^ ref.pairings[i][pos] ^ colors[i]
             if want is None:
                 want = x
             elif x != want:
@@ -292,10 +249,10 @@ def detect_split(
         chosen.append(ci)
         used[ci] = True
         colors.append(
-            0 if pos == 0 else _pairing(codes[chosen[0]], codes[ci]) ^ ref.pairings[0][pos]
+            0 if pos == 0 else ((codes[chosen[0]] & swapped[ci]).bit_count() & 1) ^ ref.pairings[0][pos]
         )
         if independent:
-            row = reduce_aug(aug[ci])
+            row = reduce_row(aug[ci], pivots)
             pivots[row.bit_length() - 1] = row
             pivot_stack.append(row.bit_length() - 1)
         else:
@@ -333,7 +290,7 @@ def detect_split(
             nodes += 1
             if nodes > node_budget:
                 raise CapExceededError(f"detect_split node budget {node_budget} exceeded")
-            if reduce_aug(aug[ci]) == 0 or not triples_ok(ci, pos):
+            if reduce_row(aug[ci], pivots) == 0 or not triples_ok(ci, pos):
                 continue
             push(ci, pos, independent=True)
             if pos + 1 == n or place(pos + 1):
@@ -355,15 +312,13 @@ def _contiguous_split_vanishing_count(parts: tuple[int, ...]) -> int:
     """Evens of genus sum(parts) whose restriction to at least one block of
     the contiguous partition is odd (such theta constants vanish on the
     corresponding product)."""
-    g = sum(parts)
-    bounds = np.cumsum((0,) + parts)
     count = 0
-    for m in all_characteristics(g, "even"):
-        for i in range(len(parts)):
-            lo, hi = bounds[i], bounds[i + 1]
-            if sum(a * b for a, b in zip(m.eps[lo:hi], m.delta[lo:hi])) % 2 == 1:
-                count += 1
-                break
+    for m in all_characteristics(sum(parts), "even"):
+        blocks = []
+        for size in parts[:-1]:
+            head, m = split(m, size)
+            blocks.append(head)
+        count += any(parity(block) for block in blocks + [m])
     return count
 
 
@@ -487,7 +442,6 @@ def classify(
     point: SiegelPoint,
     rel_threshold: float = 1e-6,
     target: float = 1e-12,
-    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> StratumReport:
     """Assign a genus-4 point to one of the strata X0-X6.
 
@@ -528,8 +482,8 @@ def classify(
         notes.append("exactly one vanishing constant: F_1 reduces to one nonzero exclusion product")
         return report("X2")
 
-    w1 = detect_split(vrep.members, 1, node_budget=node_budget)
-    w2 = detect_split(vrep.members, 2, node_budget=node_budget)
+    w1 = detect_split(vrep.members, 1)
+    w2 = detect_split(vrep.members, 2)
 
     parts = _block_partition(point.tau)
     if len(parts) > 1:
@@ -559,7 +513,6 @@ def classify_from_pattern(
     f1_vanishes: bool,
     vanishing=(),
     factor_flags: dict | None = None,
-    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> StratumReport:
     """The classify decision chain driven by synthetic flags instead of
     numerics, covering the branches (X1, X2, hyperelliptic X3) that no
@@ -596,8 +549,8 @@ def classify_from_pattern(
         return report("X2")
 
     genus = members[0].genus
-    w1 = detect_split(members, 1, node_budget=node_budget)
-    w2 = detect_split(members, min(2, genus - 1), node_budget=node_budget) if genus > 2 else SplitWitness(False, 2, None, 0)
+    w1 = detect_split(members, 1)
+    w2 = detect_split(members, min(2, genus - 1)) if genus > 2 else SplitWitness(False, 2, None, 0)
     if w1.found and not w2.found and "genus3_hyperelliptic" in flags:
         label = "X4" if flags["genus3_hyperelliptic"] else "X3"
         notes.append(f"1+3 split with genus-3 factor flagged {'' if flags['genus3_hyperelliptic'] else 'non-'}hyperelliptic")

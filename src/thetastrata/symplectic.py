@@ -24,9 +24,10 @@ import itertools
 import random
 from collections import deque
 from dataclasses import dataclass
+from functools import cache, cached_property
 
 from . import _gf2
-from .chars import Characteristic, CharTuple, all_characteristics
+from .chars import Characteristic, CharTuple, all_characteristics, code_parity
 from .errors import CapExceededError
 
 __all__ = [
@@ -69,8 +70,8 @@ def _transpose(x: Matrix) -> Matrix:
     return tuple(zip(*x))
 
 
-def _sub(x: Matrix, y: Matrix) -> Matrix:
-    return tuple(tuple(a - b for a, b in zip(rx, ry)) for rx, ry in zip(x, y))
+def _add(x: Matrix, y: Matrix) -> Matrix:
+    return tuple(tuple(a + b for a, b in zip(rx, ry)) for rx, ry in zip(x, y))
 
 
 def _neg(x: Matrix) -> Matrix:
@@ -86,8 +87,10 @@ def _is_symmetric(x: Matrix) -> bool:
 
 
 @dataclass(frozen=True)
-class SymplecticInteger:
-    """An element of Sp(2g, Z) as exact integer blocks [[A, B], [C, D]]."""
+class _Blocks:
+    """A symplectic matrix [[A, B], [C, D]] in g x g blocks whose entries
+    are kept reduced by _reduce: A^T D - C^T B = 1, A^T C and B^T D
+    symmetric."""
 
     genus: int
     a: Matrix
@@ -95,68 +98,10 @@ class SymplecticInteger:
     c: Matrix
     d: Matrix
 
-    def __post_init__(self):
-        g = self.genus
-        for name in ("a", "b", "c", "d"):
-            m = _as_matrix(getattr(self, name))
-            if len(m) != g or any(len(row) != g for row in m):
-                raise ValueError(f"block {name.upper()} must be {g}x{g}")
-            object.__setattr__(self, name, m)
-        at, bt, ct = _transpose(self.a), _transpose(self.b), _transpose(self.c)
-        if _sub(_matmul(at, self.d), _matmul(ct, self.b)) != _identity(g):
-            raise ValueError("not symplectic: A^T D - C^T B != 1")
-        if not _is_symmetric(_matmul(at, self.c)) or not _is_symmetric(_matmul(bt, self.d)):
-            raise ValueError("not symplectic: A^T C or B^T D not symmetric")
+    _modulo_two = False
 
-    @classmethod
-    def identity(cls, g: int) -> "SymplecticInteger":
-        return cls(g, _identity(g), _zero(g), _zero(g), _identity(g))
-
-    def __matmul__(self, other: "SymplecticInteger") -> "SymplecticInteger":
-        if self.genus != other.genus:
-            raise ValueError("genus mismatch")
-        a = _sub(_matmul(self.a, other.a), _neg(_matmul(self.b, other.c)))
-        b = _sub(_matmul(self.a, other.b), _neg(_matmul(self.b, other.d)))
-        c = _sub(_matmul(self.c, other.a), _neg(_matmul(self.d, other.c)))
-        d = _sub(_matmul(self.c, other.b), _neg(_matmul(self.d, other.d)))
-        return SymplecticInteger(self.genus, a, b, c, d)
-
-    def inverse(self) -> "SymplecticInteger":
-        # gamma^{-1} = [[D^T, -B^T], [-C^T, A^T]]
-        return SymplecticInteger(
-            self.genus,
-            _transpose(self.d),
-            _neg(_transpose(self.b)),
-            _neg(_transpose(self.c)),
-            _transpose(self.a),
-        )
-
-    def mod_two(self) -> "SymplecticModTwo":
-        return SymplecticModTwo(self.genus, _mod2(self.a), _mod2(self.b), _mod2(self.c), _mod2(self.d))
-
-    def to_json(self) -> dict:
-        return {
-            "A": [list(r) for r in self.a],
-            "B": [list(r) for r in self.b],
-            "C": [list(r) for r in self.c],
-            "D": [list(r) for r in self.d],
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "SymplecticInteger":
-        a = _as_matrix(obj["A"])
-        return cls(len(a), a, _as_matrix(obj["B"]), _as_matrix(obj["C"]), _as_matrix(obj["D"]))
-
-
-@dataclass(frozen=True)
-class SymplecticModTwo:
-    """An element of Sp(2g, F2) as bit-matrix blocks."""
-
-    genus: int
-    a: Matrix
-    b: Matrix
-    c: Matrix
-    d: Matrix
+    def _reduce(self, x: Matrix) -> Matrix:
+        return _mod2(x) if self._modulo_two else x
 
     def __post_init__(self):
         g = self.genus
@@ -164,32 +109,40 @@ class SymplecticModTwo:
             m = _as_matrix(getattr(self, name))
             if len(m) != g or any(len(row) != g for row in m):
                 raise ValueError(f"block {name.upper()} must be {g}x{g}")
-            if any(x not in (0, 1) for row in m for x in row):
+            if self._reduce(m) != m:
                 raise ValueError(f"block {name.upper()} must have entries 0/1")
             object.__setattr__(self, name, m)
         at, bt, ct = _transpose(self.a), _transpose(self.b), _transpose(self.c)
-        if _mod2(_sub(_matmul(at, self.d), _matmul(ct, self.b))) != _identity(g):
-            raise ValueError("not symplectic mod 2: A^T D + C^T B != 1")
-        if not _is_symmetric(_mod2(_matmul(at, self.c))) or not _is_symmetric(_mod2(_matmul(bt, self.d))):
-            raise ValueError("not symplectic mod 2: A^T C or B^T D not symmetric")
+        where = " mod 2" if self._modulo_two else ""
+        if self._reduce(_add(_matmul(at, self.d), _neg(_matmul(ct, self.b)))) != _identity(g):
+            raise ValueError(f"not symplectic{where}: A^T D - C^T B != 1")
+        if not (_is_symmetric(self._reduce(_matmul(at, self.c)))
+                and _is_symmetric(self._reduce(_matmul(bt, self.d)))):
+            raise ValueError(f"not symplectic{where}: A^T C or B^T D not symmetric")
 
     @classmethod
-    def identity(cls, g: int) -> "SymplecticModTwo":
+    def identity(cls, g: int):
         return cls(g, _identity(g), _zero(g), _zero(g), _identity(g))
 
-    def __matmul__(self, other: "SymplecticModTwo") -> "SymplecticModTwo":
+    def __matmul__(self, other):
         if self.genus != other.genus:
             raise ValueError("genus mismatch")
-        a = _mod2(_sub(_matmul(self.a, other.a), _neg(_matmul(self.b, other.c))))
-        b = _mod2(_sub(_matmul(self.a, other.b), _neg(_matmul(self.b, other.d))))
-        c = _mod2(_sub(_matmul(self.c, other.a), _neg(_matmul(self.d, other.c))))
-        d = _mod2(_sub(_matmul(self.c, other.b), _neg(_matmul(self.d, other.d))))
-        return SymplecticModTwo(self.genus, a, b, c, d)
 
-    def inverse(self) -> "SymplecticModTwo":
-        return SymplecticModTwo(
-            self.genus, _transpose(self.d), _transpose(self.b), _transpose(self.c), _transpose(self.a)
+        def block(x, y, u, v):  # x u + y v
+            return self._reduce(_add(_matmul(x, u), _matmul(y, v)))
+
+        return type(self)(
+            self.genus,
+            block(self.a, self.b, other.a, other.c),
+            block(self.a, self.b, other.b, other.d),
+            block(self.c, self.d, other.a, other.c),
+            block(self.c, self.d, other.b, other.d),
         )
+
+    def inverse(self):
+        # gamma^{-1} = [[D^T, -B^T], [-C^T, A^T]]
+        blocks = (_transpose(self.d), _neg(_transpose(self.b)), _neg(_transpose(self.c)), _transpose(self.a))
+        return type(self)(self.genus, *map(self._reduce, blocks))
 
     def to_json(self) -> dict:
         return {
@@ -200,15 +153,48 @@ class SymplecticModTwo:
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "SymplecticModTwo":
+    def from_json(cls, obj: dict):
         a = _as_matrix(obj["A"])
         return cls(len(a), a, _as_matrix(obj["B"]), _as_matrix(obj["C"]), _as_matrix(obj["D"]))
+
+
+class SymplecticInteger(_Blocks):
+    """An element of Sp(2g, Z) as exact integer blocks [[A, B], [C, D]]."""
+
+    def mod_two(self) -> "SymplecticModTwo":
+        return SymplecticModTwo(self.genus, *map(_mod2, (self.a, self.b, self.c, self.d)))
+
+
+class SymplecticModTwo(_Blocks):
+    """An element of Sp(2g, F2) as bit-matrix blocks."""
+
+    _modulo_two = True
+
+    @cached_property
+    def _affine(self) -> tuple[tuple[int, ...], int]:
+        """The affine action on codes: the rows of [[D, C], [B, A]] and the
+        shift [diag(C D^T); diag(A B^T)], each packed as a code."""
+        g = self.genus
+        a, b, c, d = self.a, self.b, self.c, self.d
+        rows = [Characteristic(g, d[i], c[i]).code for i in range(g)]
+        rows += [Characteristic(g, b[i], a[i]).code for i in range(g)]
+
+        def diag(x, y):  # diag(x y^T)
+            return [sum(p * q for p, q in zip(x[i], y[i])) % 2 for i in range(g)]
+
+        return tuple(rows), Characteristic(g, diag(c, d), diag(a, b)).code
 
 
 def standard_generators(g: int) -> list[SymplecticInteger]:
     """A generating set of Sp(2g, Z): the inversion [[0, 1], [-1, 0]] and the
     translations [[1, S], [0, 1]] over the elementary symmetric matrices
-    (e_ii, then e_ij + e_ji for i < j)."""
+    (e_ii, then e_ij + e_ji for i < j).  The list is fresh on every call;
+    the generators in it are built once per genus."""
+    return list(_generators(g))
+
+
+@cache
+def _generators(g: int) -> tuple[SymplecticInteger, ...]:
     if g < 1:
         raise ValueError(f"genus must be >= 1, got {g}")
     one, zero = _identity(g), _zero(g)
@@ -218,7 +204,7 @@ def standard_generators(g: int) -> list[SymplecticInteger]:
         s = [[0] * g for _ in range(g)]
         s[i][j] = s[j][i] = 1
         gens.append(SymplecticInteger(g, one, _as_matrix(s), zero, one))
-    return gens
+    return tuple(gens)
 
 
 def _coerce_mod_two(gamma) -> SymplecticModTwo:
@@ -229,6 +215,13 @@ def _coerce_mod_two(gamma) -> SymplecticModTwo:
     raise TypeError(f"expected a symplectic element, got {type(gamma).__name__}")
 
 
+def _affine_code(gamma: SymplecticModTwo, code: int) -> int:
+    rows, shift = gamma._affine
+    bits = [(row & code).bit_count() & 1 for row in rows]
+    g = gamma.genus
+    return Characteristic(g, bits[:g], bits[g:]).code ^ shift
+
+
 def affine_action(gamma, m: Characteristic) -> Characteristic:
     """gamma . m per the calibrated affine formula; preserves parity.
 
@@ -237,17 +230,7 @@ def affine_action(gamma, m: Characteristic) -> Characteristic:
     gamma = _coerce_mod_two(gamma)
     if gamma.genus != m.genus:
         raise ValueError(f"genus mismatch: gamma has {gamma.genus}, m has {m.genus}")
-    g = gamma.genus
-    a, b, c, d = gamma.a, gamma.b, gamma.c, gamma.d
-    eps = tuple(
-        (sum(d[i][j] * m.eps[j] + c[i][j] * m.delta[j] for j in range(g)) + sum(c[i][j] * d[i][j] for j in range(g))) % 2
-        for i in range(g)
-    )
-    delta = tuple(
-        (sum(b[i][j] * m.eps[j] + a[i][j] * m.delta[j] for j in range(g)) + sum(a[i][j] * b[i][j] for j in range(g))) % 2
-        for i in range(g)
-    )
-    return Characteristic(g, eps, delta)
+    return Characteristic.from_code(m.genus, _affine_code(gamma, m.code))
 
 
 def act_on_tuple(gamma, tup: CharTuple) -> CharTuple:
@@ -256,14 +239,6 @@ def act_on_tuple(gamma, tup: CharTuple) -> CharTuple:
     if gamma.genus != tup.genus:
         raise ValueError(f"genus mismatch: gamma has {gamma.genus}, tuple has {tup.genus}")
     return CharTuple(tup.genus, tuple(affine_action(gamma, m) for m in tup))
-
-
-def _char_bits(m: Characteristic) -> tuple[int, int]:
-    e = d = 0
-    for be, bd in zip(m.eps, m.delta):
-        e = (e << 1) | be
-        d = (d << 1) | bd
-    return e, d
 
 
 @dataclass(frozen=True)
@@ -303,18 +278,11 @@ def orbit_profile(tup: CharTuple) -> OrbitProfile:
     p = len(tup)
     if p == 0:
         raise ValueError("empty tuple has no orbit profile")
-    bits = [_char_bits(m) for m in tup]
-    # Append an always-1 coordinate so kernel vectors automatically have
-    # even cardinality.
-    vectors = [((e << m.genus | d) << 1) | 1 for (e, d), m in zip(bits, tup)]
-    basis_masks = _gf2.kernel_basis(vectors)
+    codes = [m.code for m in tup]
+    basis_masks = _gf2.kernel_basis([_gf2.augment(c) for c in codes])
     relation_basis = tuple(_gf2.mask_to_indices(mask, p) for mask in basis_masks)
-    triples = []
-    for i, j, k in itertools.combinations(range(p), 3):
-        e = bits[i][0] ^ bits[j][0] ^ bits[k][0]
-        d = bits[i][1] ^ bits[j][1] ^ bits[k][1]
-        triples.append((e & d).bit_count() % 2)
-    return OrbitProfile(p, relation_basis, tuple(triples))
+    triples = tuple(code_parity(a ^ b ^ c, tup.genus) for a, b, c in itertools.combinations(codes, 3))
+    return OrbitProfile(p, relation_basis, triples)
 
 
 def tuples_equivalent(t1: CharTuple, t2: CharTuple) -> bool:
@@ -327,13 +295,6 @@ def tuples_equivalent(t1: CharTuple, t2: CharTuple) -> bool:
     return orbit_profile(t1) == orbit_profile(t2)
 
 
-def _action_table(gamma: SymplecticModTwo) -> dict[tuple[int, int], tuple[int, int]]:
-    table = {}
-    for m in all_characteristics(gamma.genus, "all"):
-        table[_char_bits(m)] = _char_bits(affine_action(gamma, m))
-    return table
-
-
 def orbit_bfs(tup: CharTuple) -> set[CharTuple]:
     """Full orbit of the tuple under the generators' affine action,
     breadth-first with deduplication.  Enforced caps: genus <= 3 and at
@@ -341,8 +302,9 @@ def orbit_bfs(tup: CharTuple) -> set[CharTuple]:
     g = tup.genus
     if g > ORBIT_GENUS_CAP:
         raise CapExceededError(f"orbit_bfs supports genus <= {ORBIT_GENUS_CAP}, got {g}")
-    tables = [_action_table(gen.mod_two()) for gen in standard_generators(g)]
-    start = tuple(_char_bits(m) for m in tup)
+    reduced = [gen.mod_two() for gen in _generators(g)]
+    tables = [{m.code: _affine_code(r, m.code) for m in all_characteristics(g)} for r in reduced]
+    start = tuple(m.code for m in tup)
     seen = {start}
     frontier = deque([start])
     while frontier:
@@ -354,16 +316,7 @@ def orbit_bfs(tup: CharTuple) -> set[CharTuple]:
                     raise CapExceededError(f"orbit exceeds memory cap {ORBIT_MEMORY_CAP}")
                 seen.add(image)
                 frontier.append(image)
-
-    def decode(code: tuple[int, int]) -> Characteristic:
-        e, d = code
-        return Characteristic(
-            g,
-            tuple((e >> (g - 1 - i)) & 1 for i in range(g)),
-            tuple((d >> (g - 1 - i)) & 1 for i in range(g)),
-        )
-
-    return {CharTuple(g, tuple(decode(code) for code in member)) for member in seen}
+    return {CharTuple(g, tuple(Characteristic.from_code(g, code) for code in member)) for member in seen}
 
 
 def random_symplectic(g: int, word_length: int, seed: int) -> SymplecticInteger:
@@ -372,7 +325,7 @@ def random_symplectic(g: int, word_length: int, seed: int) -> SymplecticInteger:
     if word_length < 1:
         raise ValueError(f"word_length must be >= 1, got {word_length}")
     rng = random.Random(seed)
-    gens = standard_generators(g)
+    gens = _generators(g)
     out = None
     for _ in range(word_length):
         gamma = rng.choice(gens)

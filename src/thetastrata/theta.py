@@ -12,8 +12,10 @@ at most exp(-pi lambda_min (s-1/2)^2 + 2 pi (s-1/2) |Im z|), so
 
 bounds the truncation error of the box sum (the shell count starts at the
 outermost included shell, a deliberate overcount that keeps the bound
-elementary).  lambda_min is the smallest eigenvalue of Im tau, computed by
-cyclic Jacobi rotations with a Gershgorin pre-check.
+elementary).  lambda_min is a checked lower bound on the smallest
+eigenvalue of Im tau: numpy's eigenvalue, lowered by a few rounding units
+of ||Im tau|| until a Cholesky factorization of Im tau - lambda_min * 1
+succeeds.
 
 Arithmetic is double precision; the tail bound covers truncation only,
 not the ~1e-15-per-term floating point floor.
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -34,9 +37,6 @@ __all__ = [
     "SiegelPoint",
     "ThetaValue",
     "validate_siegel",
-    "min_im_eigenvalue",
-    "jacobi_smallest_eigenvalue",
-    "gershgorin_lower_bound",
     "truncation_tail_bound",
     "truncation_radius",
     "theta_function",
@@ -79,48 +79,16 @@ class ThetaValue:
     radius: int
 
 
-def gershgorin_lower_bound(matrix: np.ndarray) -> float:
-    """min_i (a_ii - sum_{j != i} |a_ij|); positive certifies PD cheaply."""
-    a = np.asarray(matrix, dtype=float)
-    off = np.abs(a).sum(axis=1) - np.abs(np.diag(a))
-    return float((np.diag(a) - off).min())
-
-
-def jacobi_smallest_eigenvalue(matrix: np.ndarray, tol: float = 1e-13, max_sweeps: int = 60) -> float:
-    """Smallest eigenvalue of a real symmetric matrix by cyclic Jacobi
-    rotations; intended for small dense matrices (g <= 8)."""
-    a = np.array(matrix, dtype=float, copy=True)
-    n = a.shape[0]
-    a = (a + a.T) / 2
-    if n == 1:
-        return float(a[0, 0])
-    scale = float(np.linalg.norm(a)) or 1.0
-    for _ in range(max_sweeps):
-        off = math.sqrt(max(0.0, float((a * a).sum() - (np.diag(a) ** 2).sum())))
-        if off <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.hypot(t, 1.0)
-                s = t * c
-                rot = np.eye(n)
-                rot[p, p] = rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                a = rot.T @ a @ rot
-                a = (a + a.T) / 2
-    return float(np.diag(a).min())
-
-
 def validate_siegel(matrix, *, sym_tol: float = 1e-12) -> SiegelPoint:
     """Symmetrize and certify a matrix as a point of the Siegel upper half
     space; rejects asymmetry beyond sym_tol and non-positive-definite
-    imaginary part (reporting lambda_min)."""
+    imaginary part (reporting lambda_min).
+
+    lambda_min is numpy's smallest eigenvalue of Im tau lowered by two
+    rounding units of ||Im tau||_F, and lowered again by twice as much
+    until a Cholesky factorization of Im tau - lambda_min * 1 succeeds,
+    which confirms it lies below the spectrum.
+    """
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
@@ -128,22 +96,20 @@ def validate_siegel(matrix, *, sym_tol: float = 1e-12) -> SiegelPoint:
     if asym > sym_tol:
         raise ValueError(f"matrix not symmetric: max |tau - tau^T| = {asym:.3e} > {sym_tol:.1e}")
     tau = (m + m.T) / 2
-    imag = tau.imag.copy()
-    # Pre-check: lambda_min <= min diagonal entry, so a non-positive
-    # diagonal rejects before any iteration.
-    diag_min = float(np.diag(imag).min())
-    if diag_min <= 0:
-        raise ValueError(f"Im tau not positive definite: lambda_min <= {diag_min:.3e}")
-    lam = jacobi_smallest_eigenvalue(imag)
-    if lam <= 0:
-        raise ValueError(f"Im tau not positive definite: lambda_min = {lam:.3e}")
+    imag = tau.imag
+    eig = float(np.linalg.eigvalsh(imag)[0])
+    step = np.finfo(float).eps * float(np.linalg.norm(imag))
+    while True:
+        lam = eig - step
+        if not lam > 0:
+            raise ValueError(f"Im tau not positive definite: lambda_min = {eig:.3e}")
+        try:
+            np.linalg.cholesky(imag - lam * np.eye(len(imag)))
+            break
+        except np.linalg.LinAlgError:
+            step *= 2
     tau.setflags(write=False)
     return SiegelPoint(tau.shape[0], tau, lam)
-
-
-def min_im_eigenvalue(point: SiegelPoint) -> float:
-    """lambda_min(Im tau), as certified at construction."""
-    return point.lambda_min
 
 
 def truncation_tail_bound(g: int, lambda_min: float, radius: int, z_im_norm: float = 0.0) -> float:
@@ -173,21 +139,16 @@ def truncation_tail_bound(g: int, lambda_min: float, radius: int, z_im_norm: flo
     return total * (1 + 1e-12) + 1e-320
 
 
-def truncation_radius(
-    point: SiegelPoint,
-    target: float,
-    z_im_norm: float = 0.0,
-    radius_cap: int = DEFAULT_RADIUS_CAP,
-) -> int:
+def truncation_radius(point: SiegelPoint, target: float, z_im_norm: float = 0.0) -> int:
     """Smallest box radius whose certified tail bound is below target."""
     if target <= 0:
         raise ValueError(f"target must be positive, got {target}")
     lam = point.lambda_min
     radius = max(1, math.ceil(z_im_norm / lam + 0.5 + 1e-9))
     while True:
-        if radius > radius_cap:
+        if radius > DEFAULT_RADIUS_CAP:
             raise CapExceededError(
-                f"truncation radius cap {radius_cap} exceeded for target {target:.1e} "
+                f"truncation radius cap {DEFAULT_RADIUS_CAP} exceeded for target {target:.1e} "
                 f"at lambda_min {lam:.3e}"
             )
         if truncation_tail_bound(point.genus, lam, radius, z_im_norm) < target:
@@ -208,13 +169,7 @@ def _lattice_slabs(g: int, radius: int, limit: int = _CHUNK_POINTS):
             yield np.concatenate([lead, sub], axis=1)
 
 
-def theta_function(
-    m: Characteristic,
-    z,
-    point: SiegelPoint,
-    target: float,
-    radius_cap: int = DEFAULT_RADIUS_CAP,
-) -> ThetaValue:
+def theta_function(m: Characteristic, z, point: SiegelPoint, target: float) -> ThetaValue:
     """theta_m(z, tau) with certified truncation error below target."""
     g = point.genus
     if m.genus != g:
@@ -225,7 +180,7 @@ def theta_function(
     z_im = float(np.linalg.norm(zv.imag))
     if z_im > IM_Z_CAP:
         raise ValueError(f"|Im z| = {z_im:.3g} exceeds cap {IM_Z_CAP}")
-    radius = truncation_radius(point, target, z_im, radius_cap)
+    radius = truncation_radius(point, target, z_im)
     tail = truncation_tail_bound(g, point.lambda_min, radius, z_im)
     eps = np.array(m.eps, dtype=float) / 2
     shift = zv + np.array(m.delta, dtype=float) / 2
@@ -238,21 +193,12 @@ def theta_function(
     return ThetaValue(value, tail, radius)
 
 
-def theta_constant(
-    m: Characteristic,
-    point: SiegelPoint,
-    target: float,
-    radius_cap: int = DEFAULT_RADIUS_CAP,
-) -> ThetaValue:
+def theta_constant(m: Characteristic, point: SiegelPoint, target: float) -> ThetaValue:
     """theta_m(0, tau); identically zero (within the bound) for odd m."""
-    return theta_function(m, np.zeros(point.genus), point, target, radius_cap)
+    return theta_function(m, np.zeros(point.genus), point, target)
 
 
-def even_theta_constants(
-    point: SiegelPoint,
-    target: float,
-    radius_cap: int = DEFAULT_RADIUS_CAP,
-) -> dict[Characteristic, ThetaValue]:
+def even_theta_constants(point: SiegelPoint, target: float) -> dict[Characteristic, ThetaValue]:
     """All even theta constants at one point, sharing a single lattice pass
     per eps class.
 
@@ -261,33 +207,40 @@ def even_theta_constants(
     collapses onto the 2^g residue classes of n mod 2.
     """
     g = point.genus
-    radius = truncation_radius(point, target, 0.0, radius_cap)
+    radius = truncation_radius(point, target)
     tail = truncation_tail_bound(g, point.lambda_min, radius)
-    evens = all_characteristics(g, "even")
-    by_eps: dict[tuple[int, ...], list[Characteristic]] = {}
-    for m in evens:
-        by_eps.setdefault(m.eps, []).append(m)
-
-    coord_bit = 1 << np.arange(g)
-    n_classes = 1 << g
-    partials = {eps: np.zeros(n_classes, dtype=complex) for eps in by_eps}
+    evens, offsets, eps_class, signs, phases = _even_tables(g)
+    place = 1 << np.arange(g)
+    partials = np.zeros((len(offsets), 1 << g), dtype=complex)
     for grid in _lattice_slabs(g, radius):
-        cls = (grid % 2) @ coord_bit
-        masks = [cls == r for r in range(n_classes)]
-        for eps in by_eps:
-            p = grid + np.array(eps, dtype=float) / 2
+        residue = (grid % 2) @ place
+        masks = [residue == r for r in range(1 << g)]
+        for row, offset in zip(partials, offsets):
+            p = grid + offset
             quad = ((p @ point.tau) * p).sum(axis=1)
             w = np.exp(1j * np.pi * quad)
-            partials[eps] += np.array([w[mask].sum() for mask in masks])
+            row += np.array([w[mask].sum() for mask in masks])
+    values = phases * (signs * partials[eps_class]).sum(axis=1)
+    return {m: ThetaValue(complex(v), tail, radius) for m, v in zip(evens, values)}
 
-    out: dict[Characteristic, ThetaValue] = {}
-    for m in evens:
-        dmask = sum(1 << j for j, bit in enumerate(m.delta) if bit)
-        signs = np.array([1 - 2 * ((r & dmask).bit_count() % 2) for r in range(n_classes)])
-        phase = 1j ** (sum(e * d for e, d in zip(m.eps, m.delta)) % 4)
-        value = phase * (signs * partials[m.eps]).sum()
-        out[m] = ThetaValue(complex(value), tail, radius)
-    return out
+
+@cache
+def _even_tables(g: int):
+    """The point-independent part of even_theta_constants, built once per
+    genus: the even characteristics, the offset eps/2 of each eps class,
+    the class of each characteristic, the sign (-1)^{n . delta} of each
+    residue class of n mod 2 in each constant, and each constant's phase
+    i^{eps . delta}.  Residue class r holds the n with n_j = bit j of r."""
+    evens = all_characteristics(g, "even")
+    eps_values = list(dict.fromkeys(m.eps for m in evens))
+    eps_class = np.array([eps_values.index(m.eps) for m in evens])
+    eps = np.array([m.eps for m in evens])
+    delta = np.array([m.delta for m in evens])
+    residues = (np.arange(1 << g)[:, None] >> np.arange(g)) & 1
+    signs = 1 - 2 * ((delta @ residues.T) % 2)
+    # eps . delta is 0 or 2 mod 4 on even characteristics
+    phases = np.where((eps * delta).sum(axis=1) % 4, -1 + 0j, 1 + 0j)
+    return evens, np.array(eps_values, dtype=float) / 2, eps_class, signs, phases
 
 
 def block_diag(point1: SiegelPoint, point2: SiegelPoint) -> SiegelPoint:
@@ -321,15 +274,15 @@ def siegel_action(gamma: SymplecticInteger, point: SiegelPoint, *, sym_tol: floa
     return validate_siegel(tau_new, sym_tol=sym_tol)
 
 
-def random_siegel_point(g: int, rng, re_scale: float = 0.4, im_spread: float = 0.5):
-    """A seeded random point with Re uniform and Im = 1_g plus a symmetric
-    perturbation scaled to keep lambda_min >= 1 - im_spread."""
+def random_siegel_point(g: int, rng):
+    """A seeded random point with Re uniform in [-0.4, 0.4] and Im = 1_g
+    plus a symmetric perturbation scaled to keep lambda_min >= 0.5."""
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
     w = rng.uniform(-1.0, 1.0, size=(g, g))
-    re = re_scale * (w + w.T) / 2
+    re = 0.4 * (w + w.T) / 2
     v = rng.uniform(-1.0, 1.0, size=(g, g))
-    im = np.eye(g) + (im_spread / g) * (v + v.T) / 2
+    im = np.eye(g) + (0.5 / g) * (v + v.T) / 2
     return validate_siegel(re + 1j * im)
 
 

@@ -11,6 +11,7 @@ from thetastrata.chars import (
     even_count,
     n_k,
     odd_count,
+    pairing,
     parity,
     product_split_tuple,
     split,
@@ -159,3 +160,26 @@ def test_concat_parity_adds(pair):
     joined = concat(m1, m2)
     assert parity(joined) == (parity(m1) + parity(m2)) % 2
     assert split(joined, m1.genus) == (m1, m2)
+
+
+@given(st.integers(1, 4).flatmap(lambda g: st.lists(
+    st.lists(st.integers(0, 1), min_size=g, max_size=g), min_size=4, max_size=4)))
+def test_code_operations_match_tuple_definitions(parts):
+    # oracle: the drawn bit tuples themselves, not the characteristics'
+    # own eps/delta views
+    e1, d1, e2, d2 = (tuple(p) for p in parts)
+    g = len(e1)
+    m1, m2 = Characteristic(g, e1, d1), Characteristic(g, e2, d2)
+    assert m1.code == int("".join(map(str, e1 + d1)), 2)
+    assert Characteristic.from_code(g, m1.code) == m1
+    assert (m1.eps, m1.delta) == (e1, d1)
+    assert parity(m1) == sum(a * b for a, b in zip(e1, d1)) % 2
+    xor = Characteristic(g, tuple(a ^ b for a, b in zip(e1, e2)), tuple(a ^ b for a, b in zip(d1, d2)))
+    assert add(m1, m2) == xor
+    expected = (sum(a * b for a, b in zip(e1, d2)) + sum(a * b for a, b in zip(e2, d1))) % 2
+    assert pairing(m1.code, m2.code, g) == expected
+    joined = concat(m1, m2)
+    assert joined == Characteristic(2 * g, e1 + e2, d1 + d2)
+    e, d = e1 + e2, d1 + d2
+    for k in range(1, 2 * g):
+        assert split(joined, k) == (Characteristic(k, e[:k], d[:k]), Characteristic(2 * g - k, e[k:], d[k:]))

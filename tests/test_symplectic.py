@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -91,6 +92,41 @@ def test_left_action_law(g):
         assert affine_action((g1 @ g2).mod_two(), m) == affine_action(
             g1.mod_two(), affine_action(g2.mod_two(), m)
         )
+
+
+def _calibrated_action(gamma, eps, delta):
+    """The calibrated affine map as a literal matrix sum on the integer
+    blocks: eps' = D eps + C delta + diag(C D^T),
+    delta' = B eps + A delta + diag(A B^T), all mod 2."""
+    a, b, c, d = gamma.a, gamma.b, gamma.c, gamma.d
+    g = len(eps)
+    new_eps = tuple(
+        sum(d[i][j] * eps[j] + c[i][j] * delta[j] + c[i][j] * d[i][j] for j in range(g)) % 2
+        for i in range(g)
+    )
+    new_delta = tuple(
+        sum(b[i][j] * eps[j] + a[i][j] * delta[j] + a[i][j] * b[i][j] for j in range(g)) % 2
+        for i in range(g)
+    )
+    return new_eps, new_delta
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_affine_action_matches_literal_formula(g):
+    # 20 seeded words whose C block is nonzero mod 2
+    words = []
+    seed = 500
+    while len(words) < 20:
+        gamma = random_symplectic(g, 6, seed)
+        if any(any(row) for row in gamma.mod_two().c):
+            words.append(gamma)
+        seed += 1
+    for gamma in words:
+        reduced = gamma.mod_two()
+        for bits in itertools.product((0, 1), repeat=2 * g):
+            eps, delta = bits[:g], bits[g:]
+            image = affine_action(reduced, Characteristic(g, eps, delta))
+            assert image == Characteristic(g, *_calibrated_action(gamma, eps, delta))
 
 
 def test_act_on_tuple_preserves_order_and_parity():
