@@ -5,13 +5,21 @@ Schottky form survives, X1 where it dies but no theta constant does, X2
 where exactly one dies (there F_1 is a single nonzero exclusion product),
 and the deeper strata X3-X6 via product detection on the vanishing set.
 
-A product splitting as k + (g-k) is certified by a sub-tuple of the
-vanishing set lying in the Sp(2g, F2) orbit of the reference tuple I_k,
-found by backtracking over assignments guided by the two orbit
-invariants.  Block-diagonal inputs are recognized directly and their
-factors analyzed recursively through factor-level vanishing counts; for
-non-block inputs the orbit witnesses plus conjugation-invariant vanishing
-counts drive the label.
+A product splitting as k + (g-k) shows as a subset of the vanishing set
+V lying in the Sp(2g, F2) orbit of the reference tuple I_k.  Those
+images are exactly the sets
+    I(W) = {m even : Arf(q_m|W) = 1},  q_m(v) = e(m + v) + e(m),
+over the non-degenerate 2k-dimensional subspaces W of F2^2g (Igusa,
+*Theta Functions*; Dolgachev and Ortland, Asterisque 165), and
+I(W) = I(W-perp).  find_split decides the question with these sets:
+for a plane P = span(e, f) with <e, f> = 1, Arf(q|P) = q(e) q(f), and
+for orthogonal planes I(P1 + P2) = I(P1) ^ I(P2).  The ordered witness
+comes from detect_split, a backtracking search guided by the two orbit
+invariants, run on I(W) alone; on a whole vanishing set the same search
+serves the tests as an oracle.  Block-diagonal inputs are recognized
+directly and their factors analyzed recursively through factor-level
+vanishing counts; for non-block inputs the witnesses plus
+conjugation-invariant vanishing counts drive the label.
 
 Sizes used as evidence (all derived by enumeration, not hardcoded):
 28 = |I_1| for a 1+3 product, 31 when the genus-3 factor is in addition
@@ -23,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,6 +40,7 @@ from .chars import (
     Characteristic,
     CharTuple,
     all_characteristics,
+    code_parity,
     pairing,
     parity,
     product_split_tuple,
@@ -47,6 +57,7 @@ __all__ = [
     "StratumReport",
     "vanishing_set",
     "detect_split",
+    "find_split",
     "classify",
     "classify_from_pattern",
     "STRATUM_LABELS",
@@ -186,6 +197,23 @@ def _ref_structure(g: int, k: int) -> _RefTuple:
     return _RefTuple(product_split_tuple(g, k))
 
 
+def _split_members(chars, k: int) -> list[Characteristic]:
+    """The distinct entries of `chars`, in order, after checking that they
+    are even characteristics of one genus g with 1 <= k < g."""
+    members = list(dict.fromkeys(chars))
+    if not members:
+        return members
+    g = members[0].genus
+    if not 1 <= k < g:
+        raise ValueError(f"k must satisfy 1 <= k < genus, got k={k}")
+    for m in members:
+        if m.genus != g:
+            raise ValueError("mixed genera in vanishing set")
+        if parity(m) != 0:
+            raise ValueError(f"odd characteristic {m} in vanishing set")
+    return members
+
+
 def detect_split(
     chars,
     k: int,
@@ -201,18 +229,17 @@ def detect_split(
     (reduced, via e(a+b+c) = <a,b>+<a,c>+<b,c> on even characteristics, to
     a two-coloring consistency check).  Raises CapExceededError when the
     node budget is exhausted; that outcome is distinct from "no witness".
+
+    find_split runs this search only on a set I(W) that the Arf test has
+    already found, where it orders the witness within a few dozen nodes.
+    On a whole vanishing set it is the independent oracle the tests check
+    find_split against: a failing search there can take millions of
+    nodes (1,417,536 for k=1 on a 2+2 product).
     """
-    members = list(dict.fromkeys(chars))
+    members = _split_members(chars, k)
     if not members:
         return SplitWitness(False, k, None, 0)
     g = members[0].genus
-    if not 1 <= k < g:
-        raise ValueError(f"k must satisfy 1 <= k < genus, got k={k}")
-    for m in members:
-        if m.genus != g:
-            raise ValueError("mixed genera in vanishing set")
-        if parity(m) != 0:
-            raise ValueError(f"odd characteristic {m} in vanishing set")
     ref = _ref_structure(g, k)
     n = ref.n
     if len(members) < n:
@@ -305,6 +332,96 @@ def detect_split(
         witness = CharTuple(g, tuple(members[ci] for ci in by_ref_index))
         return SplitWitness(True, k, witness, nodes)
     return SplitWitness(False, k, None, nodes)
+
+
+class _PlaneTable(NamedTuple):
+    """The non-degenerate planes P = span(e, f), <e, f> = 1, of F2^2g, one
+    entry each, with I(P) as a mask over the even characteristics: bit i
+    stands for all_characteristics(g, "even")[i]."""
+
+    bit: dict[int, int]  # even code -> its mask bit
+    e: np.ndarray
+    f: np.ndarray
+    masks: tuple[int, ...]  # I(P) = Q[e] & Q[f]
+    pairs: np.ndarray  # pairs[a, b] = <a, b>, over all codes
+
+
+@cache
+def _plane_table(g: int) -> _PlaneTable:
+    n = 1 << (2 * g)
+    codes = np.arange(n)
+    swapped = np.array([swap(c, g) for c in range(n)])
+    odd_weight = np.array([c.bit_count() & 1 for c in range(n)], dtype=bool)
+    pairs = odd_weight[codes[:, None] & swapped[None, :]]
+    evens = [m.code for m in all_characteristics(g, "even")]
+    # q_m(v) = e(m + v) + e(m) = e(v) + <m, v> for even m; row v of
+    # q_table is the mask Q[v] of the m with q_m(v) = 1
+    e_v = np.array([code_parity(c, g) for c in range(n)], dtype=bool)
+    q_table = np.packbits(e_v[:, None] ^ pairs[:, evens], axis=1, bitorder="little")
+    q = [int.from_bytes(row.tobytes(), "little") for row in q_table]
+    # each plane once: e is the smallest of its three nonzero vectors and
+    # f the middle one
+    a, b = codes[:, None], codes[None, :]
+    e, f = np.nonzero(pairs & (a < b) & ((a ^ b) > b))
+    masks = tuple(q[x] & q[y] for x, y in zip(e.tolist(), f.tolist()))
+    return _PlaneTable({c: i for i, c in enumerate(evens)}, e, f, masks, pairs)
+
+
+def _orthogonal_pair(table: _PlaneTable, ids: list[int]) -> tuple[int, int] | None:
+    """Two mutually orthogonal planes among `ids`, or None."""
+    ids = np.array(ids)
+    e, f = table.e[ids], table.f[ids]
+    pairs, rows = table.pairs, 256  # rows at a time, to bound memory
+    for start in range(0, len(ids), rows):
+        e1, f1 = e[start:start + rows, None], f[start:start + rows, None]
+        meets = pairs[e1, e] | pairs[e1, f] | pairs[f1, e] | pairs[f1, f]
+        i, j = np.nonzero(~meets)
+        if len(i):
+            return int(ids[start + i[0]]), int(ids[j[0]])
+    return None
+
+
+def find_split(chars, k: int) -> SplitWitness:
+    """Decide whether the even characteristics `chars` contain an Sp image
+    of product_split_tuple(g, k), by the Arf invariants of planes.
+
+    With out the mask of the even characteristics not in `chars` and
+    k' = min(k, g - k) (I(W) = I(W-perp)): for k' = 1 a split exists iff
+    some plane has I(P) & out == 0; for k' = 2 iff two orthogonal planes
+    share the value I(P) & out, and then I(W) = I(P1) ^ I(P2).  The
+    witness is detect_split run on the members of I(W); `nodes` counts
+    that search, and is 0 when there is no split.  k' > 2 raises
+    ValueError.
+    """
+    members = _split_members(chars, k)
+    if not members:
+        return SplitWitness(False, k, None, 0)
+    g = members[0].genus
+    half = min(k, g - k)
+    if half > 2:
+        raise ValueError(f"find_split decides k + (g-k) splits with min(k, g-k) <= 2, got k={k}, g={g}")
+    table = _plane_table(g)
+    out = (1 << len(table.bit)) - 1
+    for m in members:
+        out ^= 1 << table.bit[m.code]
+    found = None
+    if half == 1:
+        found = next((mask for mask in table.masks if not mask & out), None)
+    else:
+        groups: dict[int, list[int]] = {}
+        for i, mask in enumerate(table.masks):
+            groups.setdefault(mask & out, []).append(i)
+        for ids in groups.values():
+            pair = _orthogonal_pair(table, ids) if len(ids) > 1 else None
+            if pair is not None:
+                found = table.masks[pair[0]] ^ table.masks[pair[1]]
+                break
+    if found is None:
+        return SplitWitness(False, k, None, 0)
+    result = detect_split([m for m in members if found >> table.bit[m.code] & 1], k)
+    if not result.found:
+        raise RuntimeError(f"no witness in the k={k} split set I(W) that the Arf test found")
+    return result
 
 
 @cache
@@ -452,7 +569,7 @@ def classify(
     vanishing set, which is numerically exact where forms would demand
     resolving products of 136 near-zero factors.  Deeper strata are
     resolved by block recursion (for visibly block-diagonal tau) or by
-    orbit witnesses plus vanishing counts.
+    the find_split witnesses plus vanishing counts.
     """
     if point.genus != 4:
         raise ValueError(f"classify requires genus 4, got {point.genus}")
@@ -482,8 +599,8 @@ def classify(
         notes.append("exactly one vanishing constant: F_1 reduces to one nonzero exclusion product")
         return report("X2")
 
-    w1 = detect_split(vrep.members, 1)
-    w2 = detect_split(vrep.members, 2)
+    w1 = find_split(vrep.members, 1)
+    w2 = find_split(vrep.members, 2)
 
     parts = _block_partition(point.tau)
     if len(parts) > 1:
@@ -549,8 +666,8 @@ def classify_from_pattern(
         return report("X2")
 
     genus = members[0].genus
-    w1 = detect_split(members, 1)
-    w2 = detect_split(members, min(2, genus - 1)) if genus > 2 else SplitWitness(False, 2, None, 0)
+    w1 = find_split(members, 1)
+    w2 = find_split(members, min(2, genus - 1)) if genus > 2 else SplitWitness(False, 2, None, 0)
     if w1.found and not w2.found and "genus3_hyperelliptic" in flags:
         label = "X4" if flags["genus3_hyperelliptic"] else "X3"
         notes.append(f"1+3 split with genus-3 factor flagged {'' if flags['genus3_hyperelliptic'] else 'non-'}hyperelliptic")

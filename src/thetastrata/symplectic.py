@@ -86,6 +86,25 @@ def _is_symmetric(x: Matrix) -> bool:
     return x == _transpose(x)
 
 
+def _block_product(x, y):
+    """[[A, B], [C, D]] [[A', B'], [C', D']] on block 4-tuples, unchecked."""
+    a, b, c, d = x
+    u, v, w, z = y
+    return (
+        _add(_matmul(a, u), _matmul(b, w)),
+        _add(_matmul(a, v), _matmul(b, z)),
+        _add(_matmul(c, u), _matmul(d, w)),
+        _add(_matmul(c, v), _matmul(d, z)),
+    )
+
+
+def _block_inverse(x):
+    """The symplectic inverse [[D^T, -B^T], [-C^T, A^T]] of a block
+    4-tuple, unchecked."""
+    a, b, c, d = x
+    return _transpose(d), _neg(_transpose(b)), _neg(_transpose(c)), _transpose(a)
+
+
 @dataclass(frozen=True)
 class _Blocks:
     """A symplectic matrix [[A, B], [C, D]] in g x g blocks whose entries
@@ -127,22 +146,15 @@ class _Blocks:
     def __matmul__(self, other):
         if self.genus != other.genus:
             raise ValueError("genus mismatch")
-
-        def block(x, y, u, v):  # x u + y v
-            return self._reduce(_add(_matmul(x, u), _matmul(y, v)))
-
-        return type(self)(
-            self.genus,
-            block(self.a, self.b, other.a, other.c),
-            block(self.a, self.b, other.b, other.d),
-            block(self.c, self.d, other.a, other.c),
-            block(self.c, self.d, other.b, other.d),
-        )
+        product = _block_product(self._blocks, other._blocks)
+        return type(self)(self.genus, *map(self._reduce, product))
 
     def inverse(self):
-        # gamma^{-1} = [[D^T, -B^T], [-C^T, A^T]]
-        blocks = (_transpose(self.d), _neg(_transpose(self.b)), _neg(_transpose(self.c)), _transpose(self.a))
-        return type(self)(self.genus, *map(self._reduce, blocks))
+        return type(self)(self.genus, *map(self._reduce, _block_inverse(self._blocks)))
+
+    @property
+    def _blocks(self) -> tuple[Matrix, Matrix, Matrix, Matrix]:
+        return self.a, self.b, self.c, self.d
 
     def to_json(self) -> dict:
         return {
@@ -321,15 +333,16 @@ def orbit_bfs(tup: CharTuple) -> set[CharTuple]:
 
 def random_symplectic(g: int, word_length: int, seed: int) -> SymplecticInteger:
     """Product of word_length generators or generator inverses drawn by a
-    seeded PRNG; deterministic per (g, word_length, seed)."""
+    seeded PRNG; deterministic per (g, word_length, seed).  The letters
+    are folded unchecked; the product is checked once, when it is built."""
     if word_length < 1:
         raise ValueError(f"word_length must be >= 1, got {word_length}")
     rng = random.Random(seed)
     gens = _generators(g)
     out = None
     for _ in range(word_length):
-        gamma = rng.choice(gens)
+        letter = rng.choice(gens)._blocks
         if rng.random() < 0.5:
-            gamma = gamma.inverse()
-        out = gamma if out is None else out @ gamma
-    return out
+            letter = _block_inverse(letter)
+        out = letter if out is None else _block_product(out, letter)
+    return SymplecticInteger(g, *out)

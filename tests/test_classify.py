@@ -1,8 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 
+import thetastrata.cli as cli
 from thetastrata.chars import (
     Characteristic,
+    CharTuple,
+    add,
     all_characteristics,
     concat,
     parity,
@@ -12,9 +17,11 @@ from thetastrata.chars import (
 from thetastrata.classify import (
     _contiguous_split_vanishing_count,
     _one_three_hyperelliptic_count,
+    _plane_table,
     classify,
     classify_from_pattern,
     detect_split,
+    find_split,
     vanishing_set,
 )
 from thetastrata.errors import CapExceededError
@@ -22,6 +29,7 @@ from thetastrata.symplectic import act_on_tuple, random_symplectic, tuples_equiv
 from thetastrata.theta import (
     block_diag,
     generic_siegel_point,
+    point_to_json,
     random_siegel_point,
     siegel_action,
     validate_siegel,
@@ -136,6 +144,93 @@ class TestDetectSplit:
     def test_bad_k(self):
         with pytest.raises(ValueError, match="k must"):
             detect_split(list(product_split_tuple(4, 1)), 4)
+
+
+def _standard_plane_codes(g, i):
+    """Codes of e_i = [unit_i | 0] and f_i = [0 | unit_i]."""
+    unit = tuple(int(j == i) for j in range(g))
+    return Characteristic(g, unit, (0,) * g).code, Characteristic(g, (0,) * g, unit).code
+
+
+def _arf_set(g, k):
+    """{m even : Arf(q_m|W0) = 1} for W0 = span(e_1..e_k, f_1..f_k), from
+    the definition q_m(v) = e(m + v) + e(m) and the symplectic basis
+    formula Arf = sum_i q(e_i) q(f_i)."""
+    out = set()
+    for m in all_characteristics(g, "even"):
+        def q(code):
+            return parity(add(m, Characteristic.from_code(g, code))) ^ parity(m)
+
+        arf = 0
+        for i in range(k):
+            e, f = _standard_plane_codes(g, i)
+            arf ^= q(e) & q(f)
+        if arf:
+            out.add(m)
+    return out
+
+
+# images of the fixtures' vanishing sets, in code order as classify
+# reports them, under words with C != 0 mod 2 on which the backtracking
+# oracle ends; under 6002 it passes its node budget on the 1+1+2 set
+ORACLE_WORDS = (6003, 6011)
+CAPPED_X5_WORDS = (6002, 6026, 6044, 6056, 6067)
+
+
+class TestFindSplit:
+    @pytest.mark.parametrize("g,k", [(g, k) for g in (2, 3, 4) for k in range(1, g)])
+    def test_standard_subspace_gives_split_tuple(self, g, k):
+        expected = set(product_split_tuple(g, k))
+        assert _arf_set(g, k) == expected
+        # the tables give the same set as the XOR over the planes span(e_i, f_i)
+        table = _plane_table(g)
+        by_plane = {(int(e), int(f)): mask for e, f, mask in zip(table.e, table.f, table.masks)}
+        mask = 0
+        for i in range(k):
+            e, f = _standard_plane_codes(g, i)
+            mask ^= by_plane[tuple(sorted((e, f, e ^ f))[:2])]
+        evens = all_characteristics(g, "even")
+        assert {m for i, m in enumerate(evens) if mask >> i & 1} == expected
+        res = find_split(sorted(expected, key=lambda m: m.code), k)
+        assert res.found and set(res.witness) == expected
+
+    def test_plane_count_genus_four(self):
+        masks = _plane_table(4).masks
+        assert len(masks) == len(set(masks)) == 5440
+
+    def test_agrees_with_search(self, block_13, block_22, block_112):
+        words = [random_symplectic(4, 6, s).mod_two() for s in ORACLE_WORDS]
+        assert all(any(any(row) for row in w.c) for w in words)
+        sources = [vanishing_set(p).members for p in (block_13, block_22, block_112)]
+        sources.append(vanishing_set(validate_siegel(1j * np.eye(4))).members)
+        for members in sources:
+            images = [sorted(act_on_tuple(w, CharTuple(4, members)), key=lambda m: m.code) for w in words]
+            for chars in [list(members)] + images:
+                for k in (1, 2):
+                    fast, slow = find_split(chars, k), detect_split(chars, k)
+                    assert fast.found == slow.found
+                    if fast.found:
+                        assert set(fast.witness) <= set(chars)
+                        assert tuples_equivalent(fast.witness, product_split_tuple(4, k))
+                    else:
+                        assert fast.nodes == 0 and fast.witness is None
+
+    def test_rejects_a_third_case(self):
+        with pytest.raises(ValueError, match="min"):
+            find_split([Characteristic.from_code(6, 0)], 3)
+
+    def test_capped_x5_images_classify(self, block_112):
+        for seed in CAPPED_X5_WORDS:
+            rep = classify(siegel_action(random_symplectic(4, 6, seed), block_112))
+            assert rep.label == "X5"
+            assert {w.k: w.found for w in rep.splits} == {1: True, 2: True}
+
+    def test_capped_x5_image_through_cli(self, block_112, tmp_path, capsys):
+        path = tmp_path / "x5.json"
+        point = siegel_action(random_symplectic(4, 6, 6056), block_112)
+        path.write_text(json.dumps(point_to_json(point)))
+        assert cli.run(["classify", "--tau", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["label"] == "X5"
 
 
 class TestDerivedCounts:

@@ -254,6 +254,22 @@ def test_random_symplectic_single_letter_words():
         assert random_symplectic(2, 1, seed) in pool
 
 
+@pytest.mark.parametrize("word_length", range(1, 7))
+def test_random_symplectic_equals_checked_fold(word_length):
+    # the same draws in the same order, folded through the public checked
+    # product and inverse, give the same word
+    gens = standard_generators(4)
+    for seed in range(50):
+        rng = random.Random(seed)
+        expected = None
+        for _ in range(word_length):
+            letter = rng.choice(gens)
+            if rng.random() < 0.5:
+                letter = letter.inverse()
+            expected = letter if expected is None else expected @ letter
+        assert random_symplectic(4, word_length, seed) == expected
+
+
 def test_json_round_trip():
     gamma = random_symplectic(2, 5, 3)
     assert SymplecticInteger.from_json(gamma.to_json()) == gamma
