@@ -16,10 +16,10 @@ for a plane P = span(e, f) with <e, f> = 1, Arf(q|P) = q(e) q(f), and
 for orthogonal planes I(P1 + P2) = I(P1) ^ I(P2).  The ordered witness
 comes from detect_split, a backtracking search guided by the two orbit
 invariants, run on I(W) alone; on a whole vanishing set the same search
-serves the tests as an oracle.  Block-diagonal inputs are recognized
-directly and their factors analyzed recursively through factor-level
-vanishing counts; for non-block inputs the witnesses plus
-conjugation-invariant vanishing counts drive the label.
+serves the tests as an oracle.  The label is then looked up from the
+two split outcomes and the size of the vanishing set, all invariant
+under Sp(8, Z), so a block-diagonal tau and its images are decided by
+the same rule.
 
 Sizes used as evidence (all derived by enumeration, not hardcoded):
 28 = |I_1| for a 1+3 product, 31 when the genus-3 factor is in addition
@@ -49,7 +49,7 @@ from .chars import (
 )
 from .errors import CapExceededError
 from .forms import evaluate_forms
-from .theta import SiegelPoint, even_theta_constants, validate_siegel
+from .theta import SiegelPoint, even_theta_constants
 
 __all__ = [
     "VanishingSet",
@@ -479,80 +479,32 @@ class StratumReport:
         }
 
 
-def _block_partition(tau: np.ndarray, tol: float = 1e-9) -> list[list[int]]:
-    """Connected components of the coupling graph |tau_ij| > tol."""
-    g = tau.shape[0]
-    seen, parts = set(), []
-    for start in range(g):
-        if start in seen:
-            continue
-        stack, comp = [start], []
-        while stack:
-            i = stack.pop()
-            if i in seen:
-                continue
-            seen.add(i)
-            comp.append(i)
-            for j in range(g):
-                if j != i and abs(tau[i, j]) > tol:
-                    stack.append(j)
-        parts.append(sorted(comp))
-    return parts
-
-
-def _factor_atoms(dim: int, van_count: int) -> list[str] | None:
-    """Decompose a factor into atomic types from its vanishing count:
-    '1' elliptic, '2i' indecomposable surface, '3h'/'3n' (non)hyperelliptic
-    indecomposable threefold."""
-    if dim == 1:
-        return ["1"]
-    if dim == 2:
-        return {0: ["2i"], 1: ["1", "1"]}.get(van_count)
-    if dim == 3:
-        return {
-            0: ["3n"],
-            1: ["3h"],
-            _contiguous_split_vanishing_count((1, 2)): ["1", "2i"],
-            _contiguous_split_vanishing_count((1, 1, 1)): ["1", "1", "1"],
-        }.get(van_count)
-    return None
-
-
-_ATOM_LABELS = {
-    ("1", "3n"): "X3",
-    ("1", "3h"): "X4",
-    ("2i", "2i"): "X4",
-    ("1", "1", "2i"): "X5",
-    ("1", "1", "1", "1"): "X6",
-}
+def _label_rules() -> dict[tuple[bool, bool, int], str]:
+    """(k=1 split found, k=2 split found, vanishing count) -> stratum, for
+    the points where some split is found."""
+    count = _contiguous_split_vanishing_count
+    return {
+        (True, False, count((1, 3))): "X3",
+        (True, False, _one_three_hyperelliptic_count()): "X4",
+        (False, True, count((2, 2))): "X4",
+        (True, True, count((1, 1, 2))): "X5",
+        (True, True, count((1, 1, 1, 1))): "X6",
+    }
 
 
 def _label_from_witnesses(n_vanishing: int, w1: SplitWitness, w2: SplitWitness, notes: list[str]):
-    """Stratum from orbit witnesses plus the conjugation-invariant size of
-    the vanishing set."""
+    """Stratum from the split witnesses plus the Sp-invariant size of the
+    vanishing set; appends one note naming the rule that fired."""
+    rule = (f"{'' if w1.found else 'no '}k=1 split, {'' if w2.found else 'no '}k=2 split, "
+            f"{n_vanishing} vanishing")
     if not w1.found and not w2.found:
         # all three forms vanish with no product structure: the
         # hyperelliptic component of X3
-        notes.append("no product split detected; hyperelliptic branch")
+        notes.append(f"{rule}: hyperelliptic branch, X3")
         return "X3"
-    if w1.found and w2.found:
-        if n_vanishing == _contiguous_split_vanishing_count((1, 1, 1, 1)):
-            return "X6"
-        if n_vanishing == _contiguous_split_vanishing_count((1, 1, 2)):
-            return "X5"
-        notes.append(f"both splits found but vanishing count {n_vanishing} matches neither 1+1+2 nor 1+1+1+1")
-        return "UNRESOLVED"
-    if w1.found:
-        if n_vanishing == _contiguous_split_vanishing_count((1, 3)):
-            return "X3"
-        if n_vanishing == _one_three_hyperelliptic_count():
-            return "X4"
-        notes.append(f"1+3 split with unexpected vanishing count {n_vanishing}")
-        return "UNRESOLVED"
-    if n_vanishing == _contiguous_split_vanishing_count((2, 2)):
-        return "X4"
-    notes.append(f"2+2 split with unexpected vanishing count {n_vanishing}")
-    return "UNRESOLVED"
+    label = _label_rules().get((w1.found, w2.found, n_vanishing), "UNRESOLVED")
+    notes.append(f"{rule}: {label}")
+    return label
 
 
 def classify(
@@ -568,8 +520,9 @@ def classify(
     exactly when at least two do, so those two steps are decided on the
     vanishing set, which is numerically exact where forms would demand
     resolving products of 136 near-zero factors.  Deeper strata are
-    resolved by block recursion (for visibly block-diagonal tau) or by
-    the find_split witnesses plus vanishing counts.
+    resolved by the find_split witnesses for k = 1 and 2 plus the size of
+    the vanishing set, all Sp(8,Z)-invariant, so every representative of
+    a point gets the same label by the same rule.
     """
     if point.genus != 4:
         raise ValueError(f"classify requires genus 4, got {point.genus}")
@@ -601,25 +554,6 @@ def classify(
 
     w1 = find_split(vrep.members, 1)
     w2 = find_split(vrep.members, 2)
-
-    parts = _block_partition(point.tau)
-    if len(parts) > 1:
-        atoms: list[str] = []
-        for idx in parts:
-            sub = validate_siegel(point.tau[np.ix_(idx, idx)], sym_tol=1e-9)
-            van = 0 if sub.genus == 1 else len(vanishing_set(sub, rel_threshold, target))
-            decomposed = _factor_atoms(sub.genus, van)
-            if decomposed is None:
-                notes.append(f"block factor of genus {sub.genus} has unrecognized vanishing count {van}")
-                return report("UNRESOLVED", [w1, w2])
-            atoms.extend(decomposed)
-        label = _ATOM_LABELS.get(tuple(sorted(atoms)))
-        if label is None:
-            notes.append(f"block factor types {sorted(atoms)} match no stratum")
-            return report("UNRESOLVED", [w1, w2])
-        notes.append(f"block-diagonal structure {[len(p) for p in parts]} with factor atoms {sorted(atoms)}")
-        return report(label, [w1, w2])
-
     label = _label_from_witnesses(len(vrep.members), w1, w2, notes)
     return report(label, [w1, w2])
 
@@ -638,12 +572,17 @@ def classify_from_pattern(
     factor_flags may carry "genus3_hyperelliptic": bool to settle the
     elliptic x threefold branch directly.  Inconsistent combinations
     (theta-null vanishing with an empty vanishing set, F_1 claims
-    contradicting the vanishing count) raise ValueError.
+    contradicting the vanishing count) raise ValueError, as do odd,
+    repeated or non-genus-4 members of `vanishing`.
     """
     members = tuple(vanishing)
     for m in members:
         if parity(m) != 0:
             raise ValueError(f"odd characteristic {m} in vanishing set")
+    if len(set(members)) != len(members):
+        raise ValueError("repeated characteristic in vanishing set")
+    if any(m.genus != 4 for m in members):
+        raise ValueError("vanishing set members must have genus 4")
     if theta_null_vanishes != bool(members):
         raise ValueError("inconsistent flags: theta-null vanishes iff some even constant does")
     if f1_vanishes and len(members) == 1:
@@ -665,9 +604,8 @@ def classify_from_pattern(
     if not f1_vanishes:
         return report("X2")
 
-    genus = members[0].genus
     w1 = find_split(members, 1)
-    w2 = find_split(members, min(2, genus - 1)) if genus > 2 else SplitWitness(False, 2, None, 0)
+    w2 = find_split(members, 2)
     if w1.found and not w2.found and "genus3_hyperelliptic" in flags:
         label = "X4" if flags["genus3_hyperelliptic"] else "X3"
         notes.append(f"1+3 split with genus-3 factor flagged {'' if flags['genus3_hyperelliptic'] else 'non-'}hyperelliptic")

@@ -53,6 +53,7 @@ __all__ = [
 DEFAULT_RADIUS_CAP = 64
 IM_Z_CAP = 10.0
 _DET_FLOOR = 1e-8
+_ACTION_SYM_TOL = 1e-9  # the solve leaves tau' symmetric only to rounding
 _CHUNK_POINTS = 1 << 21
 
 
@@ -253,7 +254,7 @@ def block_diag(point1: SiegelPoint, point2: SiegelPoint) -> SiegelPoint:
     return validate_siegel(tau)
 
 
-def siegel_action(gamma: SymplecticInteger, point: SiegelPoint, *, sym_tol: float = 1e-9) -> SiegelPoint:
+def siegel_action(gamma: SymplecticInteger, point: SiegelPoint) -> SiegelPoint:
     """gamma o tau = (A tau + B)(C tau + D)^{-1}, re-certified.
 
     Raises ValueError when |det(C tau + D)| < 1e-8 (near-singular).
@@ -271,7 +272,7 @@ def siegel_action(gamma: SymplecticInteger, point: SiegelPoint, *, sym_tol: floa
     numer = a @ point.tau + b
     # tau' = numer @ denom^{-1}, via a solve on the transposed system
     tau_new = np.linalg.solve(denom.T, numer.T).T
-    return validate_siegel(tau_new, sym_tol=sym_tol)
+    return validate_siegel(tau_new, sym_tol=_ACTION_SYM_TOL)
 
 
 def random_siegel_point(g: int, rng):

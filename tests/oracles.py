@@ -7,6 +7,7 @@ shares no code with the package's evaluation paths.
 import cmath
 import itertools
 import math
+from types import SimpleNamespace
 
 
 def brute_force_parity_census(g):
@@ -55,3 +56,133 @@ def shell_tail_bound(g, lam, radius, z_im_norm=0.0):
 def min_eig_2x2(a, b, c):
     """Closed-form smallest eigenvalue of [[a, b], [b, c]]."""
     return (a + c) / 2 - math.sqrt(((a - c) / 2) ** 2 + b * b)
+
+
+def _positive_definite(rows):
+    """Plain Cholesky: True iff the real symmetric `rows` is positive definite."""
+    n = len(rows)
+    low = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            s = rows[i][j] - sum(low[i][k] * low[j][k] for k in range(j))
+            if i == j:
+                if s <= 0:
+                    return False
+                low[i][i] = math.sqrt(s)
+            else:
+                low[i][j] = s / low[j][j]
+    return True
+
+
+def min_eig_lower_bound(rows, steps=60):
+    """A lower bound on the smallest eigenvalue of the real symmetric
+    positive definite `rows`, by bisection on positive definiteness of
+    rows - lam * 1 (the smallest eigenvalue is at most the least diagonal
+    entry)."""
+    lo, hi = 0.0, min(rows[i][i] for i in range(len(rows)))
+    for _ in range(steps):
+        mid = (lo + hi) / 2
+        shifted = [[x - (mid if i == j else 0.0) for j, x in enumerate(row)] for i, row in enumerate(rows)]
+        if _positive_definite(shifted):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def even_characteristics(g):
+    """The even (eps, delta) pairs of genus g, by enumeration."""
+    out = []
+    for bits in itertools.product((0, 1), repeat=2 * g):
+        eps, delta = bits[:g], bits[g:]
+        if sum(e * d for e, d in zip(eps, delta)) % 2 == 0:
+            out.append((eps, delta))
+    return out
+
+
+def odd_on_some_block_count(parts):
+    """Even characteristics of genus sum(parts) whose restriction to some
+    diagonal block of the given sizes is odd: the theta constants that
+    vanish on a generic product with these blocks."""
+    count = 0
+    for eps, delta in even_characteristics(sum(parts)):
+        start = 0
+        for size in parts:
+            block = range(start, start + size)
+            if sum(eps[i] * delta[i] for i in block) % 2:
+                count += 1
+                break
+            start += size
+    return count
+
+
+# atoms: "1" elliptic, "2i" indecomposable surface, "3n"/"3h"
+# (non)hyperelliptic indecomposable threefold
+_BLOCK_STRATA = {
+    ("1", "3n"): "X3",
+    ("1", "3h"): "X4",
+    ("2i", "2i"): "X4",
+    ("1", "1", "2i"): "X5",
+    ("1", "1", "1", "1"): "X6",
+}
+
+
+def _block_atoms(genus, van_count):
+    if genus == 1:
+        table = {0: ["1"]}
+    elif genus == 2:
+        table = {0: ["2i"], odd_on_some_block_count((1, 1)): ["1", "1"]}
+    elif genus == 3:
+        table = {
+            0: ["3n"],
+            1: ["3h"],
+            odd_on_some_block_count((1, 2)): ["1", "2i"],
+            odd_on_some_block_count((1, 1, 1)): ["1", "1", "1"],
+        }
+    else:
+        return None
+    return table.get(van_count)
+
+
+def diagonal_blocks(tau_rows, tol=1e-9):
+    """Index sets of the connected components of the graph |tau_ij| > tol."""
+    g = len(tau_rows)
+    seen, parts = set(), []
+    for start in range(g):
+        if start in seen:
+            continue
+        stack, comp = [start], []
+        while stack:
+            i = stack.pop()
+            if i in seen:
+                continue
+            seen.add(i)
+            comp.append(i)
+            stack.extend(j for j in range(g) if j != i and abs(tau_rows[i][j]) > tol)
+        parts.append(sorted(comp))
+    return parts
+
+
+def block_stratum_label(tau_rows, rel_threshold=1e-6, target=1e-12):
+    """Stratum of a block-diagonal tau from its blocks alone: each block's
+    vanishing even theta constants, counted by box sums, give its atoms,
+    and the sorted atoms of all blocks name the stratum (None if they name
+    none). The box radius of each block is the least with
+    shell_tail_bound < target at that block's smallest eigenvalue."""
+    atoms = []
+    for idx in diagonal_blocks(tau_rows):
+        sub = [[complex(tau_rows[i][j]) for j in idx] for i in idx]
+        g = len(idx)
+        lam = min_eig_lower_bound([[z.imag for z in row] for row in sub])
+        radius = 1
+        while shell_tail_bound(g, lam, radius) >= target:
+            radius += 1
+        block = SimpleNamespace(tau=sub)
+        mags = [abs(direct_theta_constant(SimpleNamespace(genus=g, eps=eps, delta=delta), block, radius))
+                for eps, delta in even_characteristics(g)]
+        scale = max(mags)
+        kinds = _block_atoms(g, sum(1 for x in mags if x < rel_threshold * scale))
+        if kinds is None:
+            return None
+        atoms.extend(kinds)
+    return _BLOCK_STRATA.get(tuple(sorted(atoms)))

@@ -35,6 +35,8 @@ from thetastrata.theta import (
     validate_siegel,
 )
 
+from oracles import block_stratum_label
+
 
 @pytest.fixture(scope="module")
 def block_13():
@@ -311,6 +313,29 @@ class TestClassify:
         with pytest.raises(ValueError, match="genus 4"):
             classify(random_siegel_point(2, np.random.default_rng(0)))
 
+    def test_one_decision_path(self, block_13, block_22, block_112):
+        # a block-diagonal tau and its image under a word with C != 0 mod 2
+        # are decided by the same rule with the same evidence
+        gamma = random_symplectic(4, 6, 6003)
+        assert any(any(row) for row in gamma.mod_two().c)
+        for point in (block_13, block_22, block_112):
+            base, moved = classify(point), classify(siegel_action(gamma, point))
+            assert moved.label == base.label
+            assert moved.notes == base.notes
+            assert [(w.k, w.found) for w in moved.splits] == [(w.k, w.found) for w in base.splits]
+
+    @pytest.mark.parametrize("parts", [(1, 3), (3, 1), (2, 2), (1, 1, 2), (1, 2, 1), (2, 1, 1), (1, 1, 1, 1)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_agrees_with_block_oracle(self, parts, seed):
+        rng = np.random.default_rng(900 + seed)
+        point = None
+        for size in parts:
+            factor = random_siegel_point(size, rng)
+            point = factor if point is None else block_diag(point, factor)
+        expected = block_stratum_label(point.tau.tolist())
+        assert expected is not None
+        assert classify(point).label == expected
+
     def test_report_serializes(self, block_13):
         payload = classify(block_13).to_json()
         assert payload["label"] == "X3"
@@ -361,3 +386,12 @@ class TestClassifyFromPattern:
             classify_from_pattern(True, True, False, list(product_split_tuple(4, 1))[:2])
         with pytest.raises(ValueError, match="odd"):
             classify_from_pattern(True, True, True, [Characteristic.from_string("1|1")] )
+
+    def test_rejects_repeated_and_foreign_members(self):
+        i1 = list(product_split_tuple(4, 1))
+        with pytest.raises(ValueError, match="repeated"):
+            classify_from_pattern(True, True, True, i1 + i1[:3])
+        with pytest.raises(ValueError, match="repeated"):
+            classify_from_pattern(True, True, True, [i1[0], i1[0]])
+        with pytest.raises(ValueError, match="genus 4"):
+            classify_from_pattern(True, True, True, list(product_split_tuple(3, 1)))
