@@ -23,7 +23,6 @@ from .classify import (
     classify,
     classify_from_pattern,
     detect_split,
-    find_split,
     vanishing_set,
 )
 from .errors import CapExceededError

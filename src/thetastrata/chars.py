@@ -235,10 +235,12 @@ class CharTuple:
         return cls(entries[0].genus, entries)
 
 
+@cache
 def product_split_tuple(g: int, k: int) -> CharTuple:
     """The tuple I_k: all even genus-g characteristics whose first k columns
     form an odd genus-k characteristic and whose last g-k columns form an
-    odd genus-(g-k) characteristic, in lexicographic order.
+    odd genus-(g-k) characteristic, in lexicographic order.  Built once
+    per (g, k); the tuple is immutable.
 
     Simultaneous vanishing of the theta constants on an Sp-orbit image of
     I_k detects period matrices splitting as a k + (g-k) product.

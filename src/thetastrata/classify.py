@@ -11,12 +11,13 @@ images are exactly the sets
     I(W) = {m even : Arf(q_m|W) = 1},  q_m(v) = e(m + v) + e(m),
 over the non-degenerate 2k-dimensional subspaces W of F2^2g (Igusa,
 *Theta Functions*; Dolgachev and Ortland, Asterisque 165), and
-I(W) = I(W-perp).  find_split decides the question with these sets:
+I(W) = I(W-perp).  detect_split decides the question with these sets:
 for a plane P = span(e, f) with <e, f> = 1, Arf(q|P) = q(e) q(f), and
 for orthogonal planes I(P1 + P2) = I(P1) ^ I(P2).  The ordered witness
-comes from detect_split, a backtracking search guided by the two orbit
-invariants, run on I(W) alone; on a whole vanishing set the same search
-serves the tests as an oracle.  The label is then looked up from the
+is built, not searched for: symplectic Gram-Schmidt extends the found
+planes to a symplectic basis of F2^2g, that basis is the gamma in
+Sp(2g, F2) with gamma . W0 = W for the standard W0 with I(W0) = I_k,
+and the witness is gamma . I_k.  The label is then looked up from the
 two split outcomes and the size of the vanishing set, all invariant
 under Sp(8, Z), so a block-diagonal tau and its images are decided by
 the same rule.
@@ -35,7 +36,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._gf2 import augment, reduce_row
 from .chars import (
     Characteristic,
     CharTuple,
@@ -47,8 +47,8 @@ from .chars import (
     split,
     swap,
 )
-from .errors import CapExceededError
 from .forms import evaluate_forms
+from .symplectic import SymplecticModTwo, act_on_tuple
 from .theta import SiegelPoint, even_theta_constants
 
 __all__ = [
@@ -57,7 +57,6 @@ __all__ = [
     "StratumReport",
     "vanishing_set",
     "detect_split",
-    "find_split",
     "classify",
     "classify_from_pattern",
     "STRATUM_LABELS",
@@ -65,7 +64,7 @@ __all__ = [
 
 STRATUM_LABELS = ("X0", "X1", "X2", "X3", "X4", "X5", "X6", "UNRESOLVED")
 MARGIN_FLOOR = 10.0
-DEFAULT_NODE_BUDGET = 10_000_000
+THETA_TARGET = 1e-12  # truncation bound of every theta constant classify sums
 
 
 @dataclass(frozen=True)
@@ -91,14 +90,13 @@ class VanishingSet:
 def vanishing_set(
     point: SiegelPoint,
     rel_threshold: float = 1e-6,
-    target: float = 1e-12,
     constants=None,
 ) -> VanishingSet:
     """Classify each even theta constant as vanishing or surviving at the
     relative threshold; `constants` may carry a precomputed
-    even_theta_constants(point, target) result."""
+    even_theta_constants(point, THETA_TARGET) result."""
     if constants is None:
-        constants = even_theta_constants(point, target)
+        constants = even_theta_constants(point, THETA_TARGET)
     mags = {m: abs(tv.value) for m, tv in constants.items()}
     scale = max(mags.values())
     if scale == 0:
@@ -120,8 +118,9 @@ def vanishing_set(
 
 @dataclass(frozen=True)
 class SplitWitness:
-    """Outcome of a k + (g-k) product search: the witness, when found, is
-    an ordered sub-tuple of the input orbit-equivalent to I_k."""
+    """Outcome of a k + (g-k) product split test: the witness, when found,
+    is an ordered sub-tuple of the input orbit-equivalent to I_k; nodes
+    counts the planes the test examined."""
 
     found: bool
     k: int
@@ -135,66 +134,6 @@ class SplitWitness:
             "witness": self.witness.to_strings() if self.witness else None,
             "nodes": self.nodes,
         }
-
-
-class _RefTuple:
-    """Precomputed incremental structure of the reference tuple I_k, with
-    positions reordered so linear dependencies appear as early as
-    possible: a dependent position admits at most one candidate, so the
-    reorder collapses the search's branching."""
-
-    def __init__(self, ref: CharTuple):
-        g = ref.genus
-        orig_codes = [m.code for m in ref]
-        aug = [augment(c) for c in orig_codes]
-        n = self.n = len(orig_codes)
-
-        def count_forced(pivots, remaining):
-            return sum(1 for r in remaining if reduce_row(aug[r], pivots) == 0)
-
-        order: list[int] = []
-        pivots: dict[int, int] = {}
-        remaining = list(range(n))
-        while remaining:
-            forced = [r for r in remaining if reduce_row(aug[r], pivots) == 0]
-            if forced:
-                pick = forced[0]
-            else:
-                # choose the independent element that unlocks the most
-                # dependencies among the rest
-                best = None
-                for r in remaining:
-                    trial = dict(pivots)
-                    row = reduce_row(aug[r], trial)
-                    trial[row.bit_length() - 1] = row
-                    score = count_forced(trial, [x for x in remaining if x != r])
-                    if best is None or score > best[0]:
-                        best = (score, r, trial)
-                _, pick, pivots = best
-            order.append(pick)
-            remaining.remove(pick)
-
-        self.order = order  # search position -> original reference index
-        # dependency, in search order: None if independent of the search
-        # prefix, else indices (search positions) summing to it.  Rows
-        # carry an indicator tail of n bits (bit i for search position i)
-        # that records the combination a reduction used.
-        pivots = {}
-        self.dependency: list[tuple[int, ...] | None] = []
-        for i, ref_idx in enumerate(order):
-            row = reduce_row((aug[ref_idx] << n) | (1 << i), pivots)
-            if row >> n:
-                pivots[row.bit_length() - 1] = row
-                self.dependency.append(None)
-            else:
-                self.dependency.append(tuple(j for j in range(i) if (row >> j) & 1))
-        codes = [orig_codes[i] for i in order]
-        self.pairings = [[pairing(a, b, g) for b in codes] for a in codes]
-
-
-@cache
-def _ref_structure(g: int, k: int) -> _RefTuple:
-    return _RefTuple(product_split_tuple(g, k))
 
 
 def _split_members(chars, k: int) -> list[Characteristic]:
@@ -212,126 +151,6 @@ def _split_members(chars, k: int) -> list[Characteristic]:
         if parity(m) != 0:
             raise ValueError(f"odd characteristic {m} in vanishing set")
     return members
-
-
-def detect_split(
-    chars,
-    k: int,
-    *,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> SplitWitness:
-    """Search the even characteristics `chars` for an ordered sub-tuple in
-    the Sp orbit of product_split_tuple(g, k).
-
-    Backtracking assigns reference positions one at a time; a candidate
-    must reproduce the reference prefix's linear-relation pattern exactly
-    and satisfy every triple parity against the already placed entries
-    (reduced, via e(a+b+c) = <a,b>+<a,c>+<b,c> on even characteristics, to
-    a two-coloring consistency check).  Raises CapExceededError when the
-    node budget is exhausted; that outcome is distinct from "no witness".
-
-    find_split runs this search only on a set I(W) that the Arf test has
-    already found, where it orders the witness within a few dozen nodes.
-    On a whole vanishing set it is the independent oracle the tests check
-    find_split against: a failing search there can take millions of
-    nodes (1,417,536 for k=1 on a 2+2 product).
-    """
-    members = _split_members(chars, k)
-    if not members:
-        return SplitWitness(False, k, None, 0)
-    g = members[0].genus
-    ref = _ref_structure(g, k)
-    n = ref.n
-    if len(members) < n:
-        return SplitWitness(False, k, None, 0)
-
-    codes = [m.code for m in members]
-    swapped = [swap(c, g) for c in codes]
-    aug = [augment(c) for c in codes]
-    by_aug = {a: i for i, a in enumerate(aug)}
-    n_cand = len(codes)
-
-    chosen: list[int] = []  # candidate indices by search position
-    colors: list[int] = []  # two-coloring labels v_i of placed positions
-    used = [False] * n_cand
-    pivots: dict[int, int] = {}
-    pivot_stack: list[int | None] = []
-    nodes = 0
-
-    def triples_ok(ci: int, pos: int) -> bool:
-        # e(s_i + s_j + c) = e(m_i + m_j + m_pos) for all placed i < j,
-        # folded into a single two-coloring consistency scan; the pairing
-        # <a, c> is (a & swap(c)).bit_count() & 1
-        want = None
-        c = swapped[ci]
-        for i in range(len(chosen)):
-            x = ((codes[chosen[i]] & c).bit_count() & 1) ^ ref.pairings[i][pos] ^ colors[i]
-            if want is None:
-                want = x
-            elif x != want:
-                return False
-        return True
-
-    def push(ci: int, pos: int, independent: bool):
-        chosen.append(ci)
-        used[ci] = True
-        colors.append(
-            0 if pos == 0 else ((codes[chosen[0]] & swapped[ci]).bit_count() & 1) ^ ref.pairings[0][pos]
-        )
-        if independent:
-            row = reduce_row(aug[ci], pivots)
-            pivots[row.bit_length() - 1] = row
-            pivot_stack.append(row.bit_length() - 1)
-        else:
-            pivot_stack.append(None)
-
-    def pop():
-        top = pivot_stack.pop()
-        if top is not None:
-            del pivots[top]
-        colors.pop()
-        used[chosen.pop()] = False
-
-    def place(pos: int) -> bool:
-        nonlocal nodes
-        dep = ref.dependency[pos]
-        if dep is not None:
-            # forced: the candidate must equal the prefix sum exactly
-            target = 0
-            for j in dep:
-                target ^= aug[chosen[j]]
-            ci = by_aug.get(target)
-            nodes += 1
-            if nodes > node_budget:
-                raise CapExceededError(f"detect_split node budget {node_budget} exceeded")
-            if ci is None or used[ci] or not triples_ok(ci, pos):
-                return False
-            push(ci, pos, independent=False)
-            if pos + 1 == n or place(pos + 1):
-                return True
-            pop()
-            return False
-        for ci in range(n_cand):
-            if used[ci]:
-                continue
-            nodes += 1
-            if nodes > node_budget:
-                raise CapExceededError(f"detect_split node budget {node_budget} exceeded")
-            if reduce_row(aug[ci], pivots) == 0 or not triples_ok(ci, pos):
-                continue
-            push(ci, pos, independent=True)
-            if pos + 1 == n or place(pos + 1):
-                return True
-            pop()
-        return False
-
-    if place(0):
-        by_ref_index = [0] * n
-        for search_pos, ref_idx in enumerate(ref.order):
-            by_ref_index[ref_idx] = chosen[search_pos]
-        witness = CharTuple(g, tuple(members[ci] for ci in by_ref_index))
-        return SplitWitness(True, k, witness, nodes)
-    return SplitWitness(False, k, None, nodes)
 
 
 class _PlaneTable(NamedTuple):
@@ -381,17 +200,57 @@ def _orthogonal_pair(table: _PlaneTable, ids: list[int]) -> tuple[int, int] | No
     return None
 
 
-def find_split(chars, k: int) -> SplitWitness:
+def _symplectic_basis(g: int, pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Extend mutually orthogonal pairs (e, f), <e, f> = 1, to a symplectic
+    basis of F2^2g by symplectic Gram-Schmidt on the unit codes: each
+    round projects the units onto the orthogonal complement of the pairs
+    so far, takes the first nonzero projection as e and the first
+    projection with <e, f> = 1 as f."""
+    pairs = list(pairs)
+    while len(pairs) < g:
+        rest = []
+        for u in (1 << i for i in range(2 * g)):
+            for e, f in pairs:
+                u ^= (e if pairing(u, f, g) else 0) ^ (f if pairing(u, e, g) else 0)
+            rest.append(u)
+        e = next(v for v in rest if v)
+        pairs.append((e, next(v for v in rest if pairing(e, v, g))))
+    return pairs
+
+
+def _basis_element(g: int, pairs: list[tuple[int, int]]) -> SymplecticModTwo:
+    """The gamma whose linear part [[D, C], [B, A]] sends e_j = [unit_j|0]
+    to pairs[j][0] and f_j = [0|unit_j] to pairs[j][1]: column j of D
+    (of B) is the eps (delta) half of pairs[j][0], and likewise for C and
+    A with pairs[j][1]."""
+    xs = [Characteristic.from_code(g, e) for e, _ in pairs]
+    ys = [Characteristic.from_code(g, f) for _, f in pairs]
+
+    def columns(vectors):
+        return tuple(zip(*vectors))
+
+    return SymplecticModTwo(
+        g,
+        columns(y.delta for y in ys),
+        columns(x.delta for x in xs),
+        columns(y.eps for y in ys),
+        columns(x.eps for x in xs),
+    )
+
+
+def detect_split(chars, k: int) -> SplitWitness:
     """Decide whether the even characteristics `chars` contain an Sp image
     of product_split_tuple(g, k), by the Arf invariants of planes.
 
     With out the mask of the even characteristics not in `chars` and
-    k' = min(k, g - k) (I(W) = I(W-perp)): for k' = 1 a split exists iff
-    some plane has I(P) & out == 0; for k' = 2 iff two orthogonal planes
-    share the value I(P) & out, and then I(W) = I(P1) ^ I(P2).  The
-    witness is detect_split run on the members of I(W); `nodes` counts
-    that search, and is 0 when there is no split.  k' > 2 raises
-    ValueError.
+    k' = min(k, g - k): for k' = 1 a split exists iff some plane has
+    I(P) & out == 0; for k' = 2 iff two orthogonal planes share the value
+    I(P) & out, and then I(W) = I(P1) ^ I(P2).  The witness is gamma . I_k
+    for the gamma that sends the standard basis to a symplectic basis
+    extending the found planes; they go first, or last when k' != k,
+    since I(W) = I(W-perp).  `nodes` counts the planes examined: the
+    first fitting plane's index + 1 for k' = 1, every plane otherwise.
+    k' > 2 raises ValueError.
     """
     members = _split_members(chars, k)
     if not members:
@@ -399,29 +258,31 @@ def find_split(chars, k: int) -> SplitWitness:
     g = members[0].genus
     half = min(k, g - k)
     if half > 2:
-        raise ValueError(f"find_split decides k + (g-k) splits with min(k, g-k) <= 2, got k={k}, g={g}")
+        raise ValueError(f"detect_split decides k + (g-k) splits with min(k, g-k) <= 2, got k={k}, g={g}")
     table = _plane_table(g)
     out = (1 << len(table.bit)) - 1
     for m in members:
         out ^= 1 << table.bit[m.code]
-    found = None
+    nodes, planes = len(table.masks), None
     if half == 1:
-        found = next((mask for mask in table.masks if not mask & out), None)
+        i = next((i for i, mask in enumerate(table.masks) if not mask & out), None)
+        if i is not None:
+            nodes, planes = i + 1, [i]
     else:
         groups: dict[int, list[int]] = {}
         for i, mask in enumerate(table.masks):
             groups.setdefault(mask & out, []).append(i)
         for ids in groups.values():
-            pair = _orthogonal_pair(table, ids) if len(ids) > 1 else None
-            if pair is not None:
-                found = table.masks[pair[0]] ^ table.masks[pair[1]]
+            planes = _orthogonal_pair(table, ids) if len(ids) > 1 else None
+            if planes is not None:
                 break
-    if found is None:
-        return SplitWitness(False, k, None, 0)
-    result = detect_split([m for m in members if found >> table.bit[m.code] & 1], k)
-    if not result.found:
-        raise RuntimeError(f"no witness in the k={k} split set I(W) that the Arf test found")
-    return result
+    if planes is None:
+        return SplitWitness(False, k, None, nodes)
+    pairs = _symplectic_basis(g, [(int(table.e[i]), int(table.f[i])) for i in planes])
+    if half != k:
+        pairs = pairs[half:] + pairs[:half]
+    gamma = _basis_element(g, pairs)
+    return SplitWitness(True, k, act_on_tuple(gamma, product_split_tuple(g, k)), nodes)
 
 
 @cache
@@ -510,7 +371,6 @@ def _label_from_witnesses(n_vanishing: int, w1: SplitWitness, w2: SplitWitness, 
 def classify(
     point: SiegelPoint,
     rel_threshold: float = 1e-6,
-    target: float = 1e-12,
 ) -> StratumReport:
     """Assign a genus-4 point to one of the strata X0-X6.
 
@@ -520,16 +380,16 @@ def classify(
     exactly when at least two do, so those two steps are decided on the
     vanishing set, which is numerically exact where forms would demand
     resolving products of 136 near-zero factors.  Deeper strata are
-    resolved by the find_split witnesses for k = 1 and 2 plus the size of
+    resolved by the detect_split witnesses for k = 1 and 2 plus the size of
     the vanishing set, all Sp(8,Z)-invariant, so every representative of
     a point gets the same label by the same rule.
     """
     if point.genus != 4:
         raise ValueError(f"classify requires genus 4, got {point.genus}")
-    constants = even_theta_constants(point, target)
-    forms = evaluate_forms(point, target, constants=constants)
+    constants = even_theta_constants(point, THETA_TARGET)
+    forms = evaluate_forms(point, THETA_TARGET, constants=constants)
     mags = {fid: fv.relative_magnitude for fid, fv in forms.items()}
-    vrep = vanishing_set(point, rel_threshold, target, constants=constants)
+    vrep = vanishing_set(point, rel_threshold, constants=constants)
     warnings = []
     if vrep.warning:
         warnings.append(f"ill-separated vanishing spectrum: margin {vrep.margin:.3g} < {MARGIN_FLOOR}")
@@ -542,8 +402,7 @@ def classify(
         )
 
     if mags["FT"] >= rel_threshold:
-        if vrep.members:
-            notes.append("Schottky form survives with vanishing constants present")
+        notes.append("Schottky form survives" + (" with vanishing constants present" if vrep.members else ""))
         return report("X0")
     if not vrep.members:
         notes.append("Schottky form vanishes, no vanishing theta constants: theta-null survives")
@@ -552,8 +411,8 @@ def classify(
         notes.append("exactly one vanishing constant: F_1 reduces to one nonzero exclusion product")
         return report("X2")
 
-    w1 = find_split(vrep.members, 1)
-    w2 = find_split(vrep.members, 2)
+    w1 = detect_split(vrep.members, 1)
+    w2 = detect_split(vrep.members, 2)
     label = _label_from_witnesses(len(vrep.members), w1, w2, notes)
     return report(label, [w1, w2])
 
@@ -604,8 +463,8 @@ def classify_from_pattern(
     if not f1_vanishes:
         return report("X2")
 
-    w1 = find_split(members, 1)
-    w2 = find_split(members, 2)
+    w1 = detect_split(members, 1)
+    w2 = detect_split(members, 2)
     if w1.found and not w2.found and "genus3_hyperelliptic" in flags:
         label = "X4" if flags["genus3_hyperelliptic"] else "X3"
         notes.append(f"1+3 split with genus-3 factor flagged {'' if flags['genus3_hyperelliptic'] else 'non-'}hyperelliptic")

@@ -3,6 +3,6 @@
 
 class CapExceededError(RuntimeError):
     """A hard numeric or combinatorial cap was hit (truncation radius,
-    orbit memory, or detect_split's node budget).  Distinct from a domain
-    error: the question was well-posed but too expensive to answer within
-    the configured limits."""
+    orbit genus or orbit memory).  Distinct from a domain error: the
+    question was well-posed but too expensive to answer within the
+    configured limits."""

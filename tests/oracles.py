@@ -7,6 +7,7 @@ shares no code with the package's evaluation paths.
 import cmath
 import itertools
 import math
+from functools import cache
 from types import SimpleNamespace
 
 
@@ -114,6 +115,64 @@ def odd_on_some_block_count(parts):
                 break
             start += size
     return count
+
+
+def _mod2_generators(g):
+    """(A, B, C, D) mod 2 of the standard generators of Sp(2g, Z): the
+    inversion [[0, 1], [-1, 0]] and the translations [[1, S], [0, 1]] over
+    the elementary symmetric S (e_ii, and e_ij + e_ji for i < j)."""
+    one = [[int(i == j) for j in range(g)] for i in range(g)]
+    zero = [[0] * g for _ in range(g)]
+    gens = [(zero, one, one, zero)]
+    for i in range(g):
+        for j in range(i, g):
+            s = [[int((r, c) in ((i, j), (j, i))) for c in range(g)] for r in range(g)]
+            gens.append((one, s, zero, one))
+    return gens
+
+
+def affine_image(gen, eps, delta):
+    """gamma . [eps|delta] by the documented affine formula
+    eps' = D eps + C delta + diag(C D^T), delta' = B eps + A delta + diag(A B^T)."""
+    a, b, c, d = gen
+    g = len(eps)
+
+    def row(x, i, v):
+        return sum(x[i][t] * v[t] for t in range(g))
+
+    def diag(x, y, i):
+        return sum(x[i][t] * y[i][t] for t in range(g))
+
+    new_eps = tuple((row(d, i, eps) + row(c, i, delta) + diag(c, d, i)) % 2 for i in range(g))
+    new_delta = tuple((row(b, i, eps) + row(a, i, delta) + diag(a, b, i)) % 2 for i in range(g))
+    return new_eps, new_delta
+
+
+@cache
+def split_set_orbit(g, k):
+    """The orbit of the *set* I_k (evens odd on the first k columns and odd
+    on the last g - k) under Sp(2g, F2), breadth-first over the standard
+    generators, as a frozenset of frozensets of (eps, delta) pairs."""
+    evens = even_characteristics(g)
+    index = {m: i for i, m in enumerate(evens)}
+    perms = [[index[affine_image(gen, eps, delta)] for eps, delta in evens] for gen in _mod2_generators(g)]
+
+    def odd(eps, delta):
+        return sum(e * d for e, d in zip(eps, delta)) % 2 == 1
+
+    start = frozenset(i for i, (eps, delta) in enumerate(evens)
+                      if odd(eps[:k], delta[:k]) and odd(eps[k:], delta[k:]))
+    seen, frontier = {start}, [start]
+    while frontier:
+        grown = []
+        for member in frontier:
+            for perm in perms:
+                image = frozenset(perm[i] for i in member)
+                if image not in seen:
+                    seen.add(image)
+                    grown.append(image)
+        frontier = grown
+    return frozenset(frozenset(evens[i] for i in member) for member in seen)
 
 
 # atoms: "1" elliptic, "2i" indecomposable surface, "3n"/"3h"

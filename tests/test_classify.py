@@ -21,10 +21,8 @@ from thetastrata.classify import (
     classify,
     classify_from_pattern,
     detect_split,
-    find_split,
     vanishing_set,
 )
-from thetastrata.errors import CapExceededError
 from thetastrata.symplectic import act_on_tuple, random_symplectic, tuples_equivalent
 from thetastrata.theta import (
     block_diag,
@@ -35,7 +33,7 @@ from thetastrata.theta import (
     validate_siegel,
 )
 
-from oracles import block_stratum_label
+from oracles import block_stratum_label, split_set_orbit
 
 
 @pytest.fixture(scope="module")
@@ -134,10 +132,16 @@ class TestDetectSplit:
         assert detect_split(moved, 2).found
         assert not detect_split(moved, 1).found
 
-    def test_node_budget_raises(self, block_22):
+    def test_nodes_count_planes(self, block_22):
         members = vanishing_set(block_22).members
-        with pytest.raises(CapExceededError, match="node budget"):
-            detect_split(members, 1, node_budget=50)
+        planes = len(_plane_table(4).masks)
+        assert detect_split(members, 1).nodes == planes
+        assert detect_split(members, 2).nodes == planes
+        # k' = 1 stops at the first plane P with I(P) inside the set
+        i1 = product_split_tuple(4, 1)
+        first = next(i for i, mask in enumerate(_plane_table(4).masks)
+                     if {m for j, m in enumerate(all_characteristics(4, "even")) if mask >> j & 1} <= set(i1))
+        assert detect_split(list(i1), 1).nodes == first + 1
 
     def test_rejects_odd_entries(self):
         with pytest.raises(ValueError, match="odd"):
@@ -172,14 +176,75 @@ def _arf_set(g, k):
     return out
 
 
-# images of the fixtures' vanishing sets, in code order as classify
-# reports them, under words with C != 0 mod 2 on which the backtracking
-# oracle ends; under 6002 it passes its node budget on the 1+1+2 set
-ORACLE_WORDS = (6003, 6011)
+def _sp_order(n):
+    """|Sp(2n, F2)| = 2^(n^2) prod_{i=1..n} (4^i - 1)."""
+    order = 2 ** (n * n)
+    for i in range(1, n + 1):
+        order *= 4**i - 1
+    return order
+
+
+def _as_pairs(chars):
+    return frozenset((m.eps, m.delta) for m in chars)
+
+
+def _check_against_orbit(g, chars, k):
+    """detect_split(chars, k) finds a split iff some member of the BFS
+    orbit of the set I_k lies in chars, and its witness is such a member,
+    ordered so that it is orbit-equivalent to I_k."""
+    orbit = split_set_orbit(g, k)
+    present = _as_pairs(chars)
+    res = detect_split(chars, k)
+    assert res.found == any(member <= present for member in orbit), (g, k, len(chars))
+    if res.found:
+        assert set(res.witness) <= set(chars)
+        assert len(res.witness) == len(set(res.witness))
+        assert _as_pairs(res.witness) in orbit
+        assert tuples_equivalent(res.witness, product_split_tuple(g, k))
+    else:
+        assert res.witness is None
+    return res.found
+
+
+def _near_misses(g, k, count=4):
+    """Members of the orbit of the set I_k, each with one element removed
+    and, separately, with one even characteristic from outside added."""
+    orbit = sorted(sorted(member) for member in split_set_orbit(g, k))
+    evens = all_characteristics(g, "even")
+    rng = np.random.default_rng(50 + 10 * g + k)
+    out = []
+    for i in rng.choice(len(orbit), size=min(count, len(orbit)), replace=False):
+        member = [Characteristic(g, eps, delta) for eps, delta in orbit[i]]
+        foreign = next(m for m in evens if m not in member)
+        out += [member[1:], sorted(member + [foreign], key=lambda m: m.code)]
+    return out
+
+
+def _low_genus_sources(g):
+    """Vanishing sets of the block products of genus g = 2 or 3."""
+    rng = np.random.default_rng(1100 + g)
+    sources = []
+    for parts in {2: [(1, 1)], 3: [(1, 2), (2, 1), (1, 1, 1)]}[g]:
+        point = None
+        for size in parts:
+            factor = random_siegel_point(size, rng)
+            point = factor if point is None else block_diag(point, factor)
+        sources.append(vanishing_set(point).members)
+    return sources
+
+
+# the fixtures' vanishing sets and their images under these words, in
+# code order as classify reports them, are checked against the orbit
+# oracle; every word has C != 0 mod 2 at genus 4, and CAPPED_X5_WORDS
+# are the 1+1+2 images that once exceeded the split search's node budget
+ORACLE_WORDS = (6002, 6003, 6011, 6026, 6044, 6056, 6067)
 CAPPED_X5_WORDS = (6002, 6026, 6044, 6056, 6067)
 
 
 class TestFindSplit:
+    """The plane test of detect_split, checked against definitions and
+    against tests/oracles.py's BFS orbit of the set I_k."""
+
     @pytest.mark.parametrize("g,k", [(g, k) for g in (2, 3, 4) for k in range(1, g)])
     def test_standard_subspace_gives_split_tuple(self, g, k):
         expected = set(product_split_tuple(g, k))
@@ -193,14 +258,21 @@ class TestFindSplit:
             mask ^= by_plane[tuple(sorted((e, f, e ^ f))[:2])]
         evens = all_characteristics(g, "even")
         assert {m for i, m in enumerate(evens) if mask >> i & 1} == expected
-        res = find_split(sorted(expected, key=lambda m: m.code), k)
+        res = detect_split(sorted(expected, key=lambda m: m.code), k)
         assert res.found and set(res.witness) == expected
 
     def test_plane_count_genus_four(self):
         masks = _plane_table(4).masks
         assert len(masks) == len(set(masks)) == 5440
 
+    def test_orbit_sizes(self):
+        assert len(split_set_orbit(4, 1)) == _sp_order(4) // (_sp_order(1) * _sp_order(3)) == 5440
+        assert len(split_set_orbit(4, 2)) == _sp_order(4) // (2 * _sp_order(2) ** 2) == 45696
+        # I(W) = I(W-perp): the 3 + 1 sets are the 1 + 3 sets
+        assert split_set_orbit(4, 3) == split_set_orbit(4, 1)
+
     def test_agrees_with_search(self, block_13, block_22, block_112):
+        # the search is split_set_orbit's exhaustive BFS of the set I_k
         words = [random_symplectic(4, 6, s).mod_two() for s in ORACLE_WORDS]
         assert all(any(any(row) for row in w.c) for w in words)
         sources = [vanishing_set(p).members for p in (block_13, block_22, block_112)]
@@ -208,18 +280,27 @@ class TestFindSplit:
         for members in sources:
             images = [sorted(act_on_tuple(w, CharTuple(4, members)), key=lambda m: m.code) for w in words]
             for chars in [list(members)] + images:
-                for k in (1, 2):
-                    fast, slow = find_split(chars, k), detect_split(chars, k)
-                    assert fast.found == slow.found
-                    if fast.found:
-                        assert set(fast.witness) <= set(chars)
-                        assert tuples_equivalent(fast.witness, product_split_tuple(4, k))
-                    else:
-                        assert fast.nodes == 0 and fast.witness is None
+                for k in (1, 2, 3):
+                    _check_against_orbit(4, chars, k)
+
+    @pytest.mark.parametrize("g,k", [(2, 1), (3, 1), (3, 2)])
+    def test_agrees_with_search_low_genus(self, g, k):
+        words = [random_symplectic(g, 6, s).mod_two() for s in ORACLE_WORDS]
+        for members in _low_genus_sources(g):
+            assert members
+            images = [sorted(act_on_tuple(w, CharTuple(g, members)), key=lambda m: m.code) for w in words]
+            for chars in [list(members)] + images:
+                _check_against_orbit(g, chars, k)
+
+    @pytest.mark.parametrize("g,k", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3)])
+    def test_near_misses(self, g, k):
+        outcomes = [_check_against_orbit(g, chars, k) for chars in _near_misses(g, k)]
+        # one element short is never a split, one foreign element extra always is
+        assert outcomes == [False, True] * (len(outcomes) // 2)
 
     def test_rejects_a_third_case(self):
         with pytest.raises(ValueError, match="min"):
-            find_split([Characteristic.from_code(6, 0)], 3)
+            detect_split([Characteristic.from_code(6, 0)], 3)
 
     def test_capped_x5_images_classify(self, block_112):
         for seed in CAPPED_X5_WORDS:
@@ -335,6 +416,15 @@ class TestClassify:
         expected = block_stratum_label(point.tau.tolist())
         assert expected is not None
         assert classify(point).label == expected
+
+    def test_every_report_names_its_rule(self, block_13, block_22, block_112):
+        points = [generic_siegel_point(4, seed) for seed in (210, 211)]
+        points += [validate_siegel(1j * np.eye(4)), block_13, block_22, block_112]
+        for point in points:
+            rep = classify(point)
+            assert len(rep.notes) == 1, (rep.label, rep.notes)
+            if rep.label == "X0":
+                assert rep.notes[0].startswith("Schottky form survives")
 
     def test_report_serializes(self, block_13):
         payload = classify(block_13).to_json()

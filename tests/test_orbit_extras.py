@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from thetastrata._gf2 import kernel_basis, mask_to_indices, rref
 from thetastrata.chars import CharTuple, all_characteristics, product_split_tuple
-from thetastrata.classify import detect_split, find_split, vanishing_set
+from thetastrata.classify import detect_split, vanishing_set
 from thetastrata.symplectic import orbit_bfs, orbit_profile, tuples_equivalent
 from thetastrata.theta import block_diag, random_siegel_point, validate_siegel
 
@@ -83,16 +83,12 @@ def test_longer_tuples_with_forced_relations():
         assert tuples_equivalent(tup, member)
 
 
-@pytest.mark.parametrize(
-    "g,k,search",
-    [pytest.param(g, k, detect_split, id=f"{g}-{k}") for g, k in ((2, 1), (3, 1), (3, 2))]
-    + [pytest.param(g, k, find_split, id=f"{g}-{k}-find_split") for g, k in ((2, 1), (3, 1), (3, 2))],
-)
-def test_detect_split_across_genera(g, k, search):
+@pytest.mark.parametrize("g,k", [pytest.param(g, k, id=f"{g}-{k}") for g, k in ((2, 1), (3, 1), (3, 2))])
+def test_detect_split_across_genera(g, k):
     rng = np.random.default_rng(1000 + 10 * g + k)
     blk = block_diag(random_siegel_point(k, rng), random_siegel_point(g - k, rng))
     members = vanishing_set(blk).members
-    found = search(members, k)
+    found = detect_split(members, k)
     assert found.found
     assert tuples_equivalent(found.witness, product_split_tuple(g, k))
 
