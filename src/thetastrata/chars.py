@@ -43,7 +43,6 @@ __all__ = [
     "n_k",
     "even_count",
     "odd_count",
-    "PARITY_COUNTS",
 ]
 
 
@@ -189,11 +188,6 @@ def even_count(g: int) -> int:
 def odd_count(g: int) -> int:
     """2^{g-1} (2^g - 1), the number of odd characteristics."""
     return 2 ** (g - 1) * (2**g - 1)
-
-
-# (even, odd) counts for small genus; convenience only, tests recompute
-# these by exhaustive enumeration.
-PARITY_COUNTS: dict[int, tuple[int, int]] = {1: (3, 1), 2: (10, 6), 3: (36, 28), 4: (136, 120)}
 
 
 @dataclass(frozen=True)

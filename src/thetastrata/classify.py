@@ -22,16 +22,22 @@ two split outcomes and the size of the vanishing set, all invariant
 under Sp(8, Z), so a block-diagonal tau and its images are decided by
 the same rule.
 
-Sizes used as evidence (all derived by enumeration, not hardcoded):
-28 = |I_1| for a 1+3 product, 31 when the genus-3 factor is in addition
-hyperelliptic (one extra even constant times the 3 even genus-1 choices),
-36 = |I_2| for 2+2, 46 for 1+1+2, 55 for 1+1+1+1.
+Sizes used as evidence, in closed form: on a product with diagonal
+blocks of sizes d_1 + ... + d_r = 4 the constants that vanish are the
+evens odd on some block.  A characteristic's parity is the sum of its
+blocks' parities, so the evens even on every block number
+prod(even_count(d_i)) and the count is even_count(4) minus that:
+28 = |I_1| for a 1+3 product, 36 = |I_2| for 2+2, 46 for 1+1+2 and 55
+for 1+1+1+1.  When the genus-3 factor of 1+3 is in addition
+hyperelliptic, its one vanishing even constant adds the even_count(1) = 3
+evens of genus 4 that are even on the genus-1 block: 31.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from math import prod
 from typing import NamedTuple
 
 import numpy as np
@@ -41,10 +47,10 @@ from .chars import (
     CharTuple,
     all_characteristics,
     code_parity,
+    even_count,
     pairing,
     parity,
     product_split_tuple,
-    split,
     swap,
 )
 from .forms import evaluate_forms
@@ -285,35 +291,6 @@ def detect_split(chars, k: int) -> SplitWitness:
     return SplitWitness(True, k, act_on_tuple(gamma, product_split_tuple(g, k)), nodes)
 
 
-@cache
-def _contiguous_split_vanishing_count(parts: tuple[int, ...]) -> int:
-    """Evens of genus sum(parts) whose restriction to at least one block of
-    the contiguous partition is odd (such theta constants vanish on the
-    corresponding product)."""
-    count = 0
-    for m in all_characteristics(sum(parts), "even"):
-        blocks = []
-        for size in parts[:-1]:
-            head, m = split(m, size)
-            blocks.append(head)
-        count += any(parity(block) for block in blocks + [m])
-    return count
-
-
-@cache
-def _one_three_hyperelliptic_count() -> int:
-    """Vanishing-set size for elliptic x (hyperelliptic genus-3): the 1+3
-    odd-odd tuple plus one extra even genus-3 constant."""
-    base = all_characteristics(4, "even")
-    extra = all_characteristics(3, "even")[0]  # count independent of the choice
-    count = 0
-    for m in base:
-        head, tail = split(m, 1)
-        if (parity(head) == 1 and parity(tail) == 1) or (parity(head) == 0 and tail == extra):
-            count += 1
-    return count
-
-
 @dataclass(frozen=True)
 class StratumReport:
     """A stratum label with the numerical evidence that produced it."""
@@ -340,32 +317,51 @@ class StratumReport:
         }
 
 
-def _label_rules() -> dict[tuple[bool, bool, int], str]:
-    """(k=1 split found, k=2 split found, vanishing count) -> stratum, for
-    the points where some split is found."""
-    count = _contiguous_split_vanishing_count
-    return {
-        (True, False, count((1, 3))): "X3",
-        (True, False, _one_three_hyperelliptic_count()): "X4",
-        (False, True, count((2, 2))): "X4",
-        (True, True, count((1, 1, 2))): "X5",
-        (True, True, count((1, 1, 1, 1))): "X6",
-    }
+def _some_block_odd(parts: tuple[int, ...]) -> int:
+    """Evens of genus sum(parts) odd on at least one diagonal block of the
+    given sizes: every even less those even on every block (the blocks'
+    parities add up to the whole one)."""
+    return even_count(sum(parts)) - prod(even_count(d) for d in parts)
 
 
-def _label_from_witnesses(n_vanishing: int, w1: SplitWitness, w2: SplitWitness, notes: list[str]):
-    """Stratum from the split witnesses plus the Sp-invariant size of the
-    vanishing set; appends one note naming the rule that fired."""
+# (k=1 split found, k=2 split found, vanishing count) -> stratum, for the
+# points where some split is found.  A hyperelliptic genus-3 factor of a
+# 1+3 product adds the even_count(1) evens that are even on the genus-1
+# block and equal the factor's one vanishing even on the genus-3 block.
+_LABELS = {
+    (True, False, _some_block_odd((1, 3))): "X3",
+    (True, False, _some_block_odd((1, 3)) + even_count(1)): "X4",
+    (False, True, _some_block_odd((2, 2))): "X4",
+    (True, True, _some_block_odd((1, 1, 2))): "X5",
+    (True, True, _some_block_odd((1, 1, 1, 1))): "X6",
+}
+
+
+def _decide(ft_survives: bool, members, notes: list[str]) -> tuple[str, tuple[SplitWitness, ...]]:
+    """The decision chain on the Schottky outcome and the genus-4 vanishing
+    set: (label, split witnesses), with one note naming the rule that
+    fired appended to `notes`."""
+    if ft_survives:
+        notes.append("Schottky form survives" + (" with vanishing constants present" if members else ""))
+        return "X0", ()
+    if not members:
+        notes.append("Schottky form vanishes, no vanishing theta constants: theta-null survives")
+        return "X1", ()
+    if len(members) == 1:
+        notes.append("exactly one vanishing constant: F_1 reduces to one nonzero exclusion product")
+        return "X2", ()
+    w1 = detect_split(members, 1)
+    w2 = detect_split(members, 2)
     rule = (f"{'' if w1.found else 'no '}k=1 split, {'' if w2.found else 'no '}k=2 split, "
-            f"{n_vanishing} vanishing")
+            f"{len(members)} vanishing")
     if not w1.found and not w2.found:
         # all three forms vanish with no product structure: the
         # hyperelliptic component of X3
         notes.append(f"{rule}: hyperelliptic branch, X3")
-        return "X3"
-    label = _label_rules().get((w1.found, w2.found, n_vanishing), "UNRESOLVED")
+        return "X3", (w1, w2)
+    label = _LABELS.get((w1.found, w2.found, len(members)), "UNRESOLVED")
     notes.append(f"{rule}: {label}")
-    return label
+    return label, (w1, w2)
 
 
 def classify(
@@ -390,31 +386,12 @@ def classify(
     forms = evaluate_forms(point, THETA_TARGET, constants=constants)
     mags = {fid: fv.relative_magnitude for fid, fv in forms.items()}
     vrep = vanishing_set(point, rel_threshold, constants=constants)
-    warnings = []
+    warnings = ()
     if vrep.warning:
-        warnings.append(f"ill-separated vanishing spectrum: margin {vrep.margin:.3g} < {MARGIN_FLOOR}")
+        warnings = (f"ill-separated vanishing spectrum: margin {vrep.margin:.3g} < {MARGIN_FLOOR}",)
     notes: list[str] = []
-
-    def report(label, splits=()):
-        return StratumReport(
-            label, mags, vrep.members, tuple(splits), rel_threshold, vrep.margin,
-            tuple(warnings), tuple(notes),
-        )
-
-    if mags["FT"] >= rel_threshold:
-        notes.append("Schottky form survives" + (" with vanishing constants present" if vrep.members else ""))
-        return report("X0")
-    if not vrep.members:
-        notes.append("Schottky form vanishes, no vanishing theta constants: theta-null survives")
-        return report("X1")
-    if len(vrep.members) == 1:
-        notes.append("exactly one vanishing constant: F_1 reduces to one nonzero exclusion product")
-        return report("X2")
-
-    w1 = detect_split(vrep.members, 1)
-    w2 = detect_split(vrep.members, 2)
-    label = _label_from_witnesses(len(vrep.members), w1, w2, notes)
-    return report(label, [w1, w2])
+    label, splits = _decide(mags["FT"] >= rel_threshold, vrep.members, notes)
+    return StratumReport(label, mags, vrep.members, splits, rel_threshold, vrep.margin, warnings, tuple(notes))
 
 
 def classify_from_pattern(
@@ -424,15 +401,15 @@ def classify_from_pattern(
     vanishing=(),
     factor_flags: dict | None = None,
 ) -> StratumReport:
-    """The classify decision chain driven by synthetic flags instead of
-    numerics, covering the branches (X1, X2, hyperelliptic X3) that no
-    constructible period matrix reaches here.
+    """classify's decision chain, the same function, driven by synthetic
+    flags instead of numerics, covering the branches (X1, X2,
+    hyperelliptic X3) that no constructible period matrix reaches here.
 
     factor_flags may carry "genus3_hyperelliptic": bool to settle the
-    elliptic x threefold branch directly.  Inconsistent combinations
-    (theta-null vanishing with an empty vanishing set, F_1 claims
-    contradicting the vanishing count) raise ValueError, as do odd,
-    repeated or non-genus-4 members of `vanishing`.
+    elliptic x threefold branch directly; its note then replaces the rule
+    note.  Inconsistent combinations (theta-null vanishing with an empty
+    vanishing set, F_1 claims contradicting the vanishing count) raise
+    ValueError, as do odd, repeated or non-genus-4 members of `vanishing`.
     """
     members = tuple(vanishing)
     for m in members:
@@ -452,22 +429,9 @@ def classify_from_pattern(
     notes = [f"synthetic pattern: FT={'0' if ft_vanishes else 'nonzero'}, "
              f"THETANULL={'0' if theta_null_vanishes else 'nonzero'}, "
              f"F1={'0' if f1_vanishes else 'nonzero'}"]
-
-    def report(label, splits=(), margin=float("inf")):
-        return StratumReport(label, {}, members, tuple(splits), 0.0, margin, (), tuple(notes))
-
-    if not ft_vanishes:
-        return report("X0")
-    if not theta_null_vanishes:
-        return report("X1")
-    if not f1_vanishes:
-        return report("X2")
-
-    w1 = detect_split(members, 1)
-    w2 = detect_split(members, 2)
-    if w1.found and not w2.found and "genus3_hyperelliptic" in flags:
-        label = "X4" if flags["genus3_hyperelliptic"] else "X3"
-        notes.append(f"1+3 split with genus-3 factor flagged {'' if flags['genus3_hyperelliptic'] else 'non-'}hyperelliptic")
-        return report(label, [w1, w2])
-    label = _label_from_witnesses(len(members), w1, w2, notes)
-    return report(label, [w1, w2])
+    label, splits = _decide(not ft_vanishes, members, notes)
+    if [w.found for w in splits] == [True, False] and "genus3_hyperelliptic" in flags:
+        hyperelliptic = flags["genus3_hyperelliptic"]
+        label = "X4" if hyperelliptic else "X3"
+        notes[-1] = f"1+3 split with genus-3 factor flagged {'' if hyperelliptic else 'non-'}hyperelliptic"
+    return StratumReport(label, {}, members, splits, 0.0, float("inf"), (), tuple(notes))

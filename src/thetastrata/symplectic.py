@@ -229,9 +229,10 @@ def _coerce_mod_two(gamma) -> SymplecticModTwo:
 
 def _affine_code(gamma: SymplecticModTwo, code: int) -> int:
     rows, shift = gamma._affine
-    bits = [(row & code).bit_count() & 1 for row in rows]
-    g = gamma.genus
-    return Characteristic(g, bits[:g], bits[g:]).code ^ shift
+    out = 0
+    for row in rows:  # in code order, eps_1 first
+        out = (out << 1) | ((row & code).bit_count() & 1)
+    return out ^ shift
 
 
 def affine_action(gamma, m: Characteristic) -> Characteristic:

@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from thetastrata.chars import (
-    PARITY_COUNTS,
     Characteristic,
     CharTuple,
     add,
@@ -39,7 +38,6 @@ def test_census_matches_brute_force(g):
     assert len(all_characteristics(g, "even")) == even == even_count(g)
     assert len(all_characteristics(g, "odd")) == odd == odd_count(g)
     assert len(all_characteristics(g, "all")) == 2 ** (2 * g)
-    assert PARITY_COUNTS[g] == (even, odd)
 
 
 def test_genus_one_lists():

@@ -15,8 +15,7 @@ from thetastrata.chars import (
     split,
 )
 from thetastrata.classify import (
-    _contiguous_split_vanishing_count,
-    _one_three_hyperelliptic_count,
+    _LABELS,
     _plane_table,
     classify,
     classify_from_pattern,
@@ -33,7 +32,7 @@ from thetastrata.theta import (
     validate_siegel,
 )
 
-from oracles import block_stratum_label, split_set_orbit
+from oracles import block_stratum_label, odd_on_some_block_count, split_set_orbit
 
 
 @pytest.fixture(scope="module")
@@ -318,11 +317,18 @@ class TestFindSplit:
 
 class TestDerivedCounts:
     def test_enumerated_signature_sizes(self):
-        assert _contiguous_split_vanishing_count((1, 3)) == 28
-        assert _contiguous_split_vanishing_count((2, 2)) == 36
-        assert _contiguous_split_vanishing_count((1, 1, 2)) == 46
-        assert _contiguous_split_vanishing_count((1, 1, 1, 1)) == 55
-        assert _one_three_hyperelliptic_count() == 31
+        counts = {parts: odd_on_some_block_count(parts) for parts in ((1, 3), (2, 2), (1, 1, 2), (1, 1, 1, 1))}
+        assert counts == {(1, 3): 28, (2, 2): 36, (1, 1, 2): 46, (1, 1, 1, 1): 55}
+        # a hyperelliptic genus-3 factor has one vanishing even e; with it
+        # vanish the 3 genus-4 evens that are even on the genus-1 block and
+        # equal e on the genus-3 block, so 28 + 3 = 31
+        assert _LABELS == {
+            (True, False, counts[(1, 3)]): "X3",
+            (True, False, 31): "X4",
+            (False, True, counts[(2, 2)]): "X4",
+            (True, True, counts[(1, 1, 2)]): "X5",
+            (True, True, counts[(1, 1, 1, 1)]): "X6",
+        }
 
     def test_signatures_match_numerics(self, block_13, block_22, block_112):
         assert len(vanishing_set(block_13)) == 28
@@ -485,3 +491,37 @@ class TestClassifyFromPattern:
             classify_from_pattern(True, True, True, [i1[0], i1[0]])
         with pytest.raises(ValueError, match="genus 4"):
             classify_from_pattern(True, True, True, list(product_split_tuple(3, 1)))
+
+    def test_every_report_names_its_rule(self):
+        evens = all_characteristics(4, "even")
+        conj = list(act_on_tuple(random_symplectic(4, 4, 99).mod_two(), product_split_tuple(4, 1)))
+        full = [m for m in evens if any(e * d for e, d in zip(m.eps, m.delta))]
+        cases = {
+            "X0": (False, False, False, ()),
+            "X1": (True, False, False, ()),
+            "X2": (True, True, False, evens[:1]),
+            "hyperelliptic X3": (True, True, True, evens[:2]),
+            "28-set": (True, True, True, conj),
+            "28-set, flagged": (True, True, True, conj, {"genus3_hyperelliptic": True}),
+            "55-set": (True, True, True, full),
+            "30-set": (True, True, True, conj + [m for m in evens if m not in conj][:2]),
+        }
+        labels = {}
+        for name, args in cases.items():
+            rep = classify_from_pattern(*args)
+            labels[name] = rep.label
+            assert len(rep.notes) == 2, (name, rep.notes)
+            assert rep.notes[0].startswith("synthetic pattern:")
+            assert not rep.notes[1].startswith("synthetic pattern:")
+        assert labels == {
+            "X0": "X0", "X1": "X1", "X2": "X2", "hyperelliptic X3": "X3", "28-set": "X3",
+            "28-set, flagged": "X4", "55-set": "X6", "30-set": "UNRESOLVED",
+        }
+
+    def test_agrees_with_classify(self, block_13, block_22, block_112):
+        for point in (block_13, block_22, block_112, validate_siegel(1j * np.eye(4))):
+            rep = classify(point)
+            pattern = classify_from_pattern(True, True, True, rep.vanishing)
+            assert pattern.label == rep.label
+            assert [(w.k, w.found) for w in pattern.splits] == [(w.k, w.found) for w in rep.splits]
+            assert pattern.notes[1:] == rep.notes
