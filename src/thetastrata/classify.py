@@ -65,10 +65,8 @@ __all__ = [
     "detect_split",
     "classify",
     "classify_from_pattern",
-    "STRATUM_LABELS",
 ]
 
-STRATUM_LABELS = ("X0", "X1", "X2", "X3", "X4", "X5", "X6", "UNRESOLVED")
 MARGIN_FLOOR = 10.0
 THETA_TARGET = 1e-12  # truncation bound of every theta constant classify sums
 

@@ -17,6 +17,15 @@ eigenvalue of Im tau: numpy's eigenvalue, lowered by a few rounding units
 of ||Im tau|| until a Cholesky factorization of Im tau - lambda_min * 1
 succeeds.
 
+even_theta_constants sums less than the box: of its points it keeps only
+those with q = p^T (Im tau) p <= C, where p = n + eps/2 and
+C = ln(2 (2R+1)^g / (target - tail(R))) / pi, found by Fincke-Pohst
+enumeration of that ellipsoid (Deconinck, Heil, Bobenko, van Hoeij and
+Schmies, Math. Comp. 73 (2004)).  Every dropped term has modulus below
+exp(-pi C), so its bound has two parts: the box tail plus
+(2R+1)^g exp(-pi C) = (target - tail(R)) / 2 for the dropped box terms,
+which keeps it below target.  theta_function sums the whole box.
+
 Arithmetic is double precision; the tail bound covers truncation only,
 not the ~1e-15-per-term floating point floor.
 """
@@ -55,6 +64,8 @@ IM_Z_CAP = 10.0
 _DET_FLOOR = 1e-8
 _ACTION_SYM_TOL = 1e-9  # the solve leaves tau' symmetric only to rounding
 _CHUNK_POINTS = 1 << 21
+_ELLIPSOID_CHUNK = 1 << 16  # points per pass of even_theta_constants, bounding its memory
+_CUT_SLACK = 1e-9  # widens the ellipsoid past the rounding of its Cholesky sums
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,48 +211,104 @@ def theta_constant(m: Characteristic, point: SiegelPoint, target: float) -> Thet
 
 
 def even_theta_constants(point: SiegelPoint, target: float) -> dict[Characteristic, ThetaValue]:
-    """All even theta constants at one point, sharing a single lattice pass
-    per eps class.
+    """All even theta constants at one point, from one pass over the
+    lattice points whose terms can matter.
 
-    For fixed eps the delta dependence is a root-of-unity weight:
-    exp(pi i p^T delta) = (-1)^{n . delta} i^{eps . delta}, so the box sum
-    collapses onto the 2^g residue classes of n mod 2.
+    In m = 2p = 2n + eps the boxes |n|_inf <= R of all eps classes fill
+    the integer box [-2R, 2R+1]^g, and m mod 4 holds both eps (bit 0 of
+    each digit) and n mod 2 (bit 1).  The delta dependence is the root of
+    unity exp(pi i p^T delta) = i^{m . delta}, so the sum collapses onto
+    the 4^g classes of m mod 4, each folded with np.bincount.
+
+    Only the m with q = p^T (Im tau) p <= C are summed, where
+    C = ln(2 (2R+1)^g / (target - tail)) / pi and tail is the box tail
+    bound; Fincke-Pohst enumeration finds them without visiting the rest
+    of the box.  Every box term left out has modulus below exp(-pi C), so
+    the reported tail_bound is the box tail plus (2R+1)^g exp(-pi C) =
+    (target - tail) / 2, below target.  The terms of m and -m are equal,
+    and on even characteristics their classes carry the same weight
+    (m . delta is even), so the enumeration visits half of the ellipsoid
+    and counts each term twice.  It runs over |m|_inf <= 2R+1, the box and
+    its mirror image; the few terms this adds beyond the box are series
+    terms, which leave the bound intact.  radius is the box radius R.
     """
     g = point.genus
     radius = truncation_radius(point, target)
     tail = truncation_tail_bound(g, point.lambda_min, radius)
-    evens, offsets, eps_class, signs, phases = _even_tables(g)
-    place = 1 << np.arange(g)
-    partials = np.zeros((len(offsets), 1 << g), dtype=complex)
-    for grid in _lattice_slabs(g, radius):
-        residue = (grid % 2) @ place
-        masks = [residue == r for r in range(1 << g)]
-        for row, offset in zip(partials, offsets):
-            p = grid + offset
-            quad = ((p @ point.tau) * p).sum(axis=1)
-            w = np.exp(1j * np.pi * quad)
-            row += np.array([w[mask].sum() for mask in masks])
-    values = phases * (signs * partials[eps_class]).sum(axis=1)
-    return {m: ThetaValue(complex(v), tail, radius) for m, v in zip(evens, values)}
+    n_box = (2 * radius + 1) ** g
+    cut = math.log(2 * n_box / (target - tail)) / math.pi
+    dropped = n_box * math.exp(-math.pi * cut) * (1 + 1e-12)  # padded past float rounding
+    evens, bins, weights = _even_tables(g)
+    sums = np.zeros(4**g, dtype=complex)
+    for q, phase, cls in _half_ellipsoid(point.tau / 4, cut * (1 + _CUT_SLACK), 2 * radius + 1):
+        size = 2 * np.exp(-np.pi * q)
+        angle = np.pi * phase
+        sums += np.bincount(cls, size * np.cos(angle), 4**g)
+        sums += 1j * np.bincount(cls, size * np.sin(angle), 4**g)
+    sums[0] -= 1  # m = 0 is its own mirror image: its term 1 went in twice
+    values = (weights * sums[bins]).sum(axis=1)
+    return {m: ThetaValue(complex(v), tail + dropped, radius) for m, v in zip(evens, values)}
+
+
+def _half_ellipsoid(form: np.ndarray, bound: float, edge: int, limit: int = _ELLIPSOID_CHUNK):
+    """Yield (q, phase, cls) arrays, in chunks of about `limit`, over the
+    integer m with |m|_inf <= edge and q = m^T (Im form) m <= bound whose
+    first nonzero entry, read from m_{g-1} down, is positive, and over
+    m = 0.  phase = m^T (Re form) m and cls = sum_j (m_j mod 4) 4^j.
+
+    Fincke-Pohst: with Im form = L L^T, q = sum_i (sum_{j>=i} L_ji m_j)^2,
+    so once m_{i+1}, ..., m_{g-1} are fixed, m_i runs over an interval.
+    Each array is built up one coordinate at a time.
+    """
+    g = len(form)
+    chol = np.linalg.cholesky(form.imag)
+    re = form.real
+
+    def expand(cols, zero, q, phase, cls, i):
+        # cols holds m_{g-1}, ..., m_{i+1}; zero marks an all-zero prefix
+        center = np.zeros(len(q))
+        lin = np.zeros(len(q))
+        for k, col in enumerate(cols):
+            center -= chol[g - 1 - k, i] * col
+            lin += re[g - 1 - k, i] * col
+        center /= chol[i, i]
+        half = np.sqrt(np.maximum(bound - q, 0.0)) / chol[i, i]
+        first = np.maximum(np.ceil(center - half), np.where(zero, 0, -edge)).astype(np.int64)
+        count = np.maximum(np.minimum(np.floor(center + half), edge).astype(np.int64) - first + 1, 0)
+        total = int(count.sum())
+        if total > limit and len(q) > 1:
+            mid = len(q) // 2
+            for part in (slice(None, mid), slice(mid, None)):
+                yield from expand([col[part] for col in cols], zero[part], q[part], phase[part], cls[part], i)
+            return
+        owner = np.repeat(np.arange(len(q)), count)
+        new = first[owner] + np.arange(total) - np.repeat(np.cumsum(count) - count, count)
+        q = q[owner] + (chol[i, i] * (new - center[owner])) ** 2
+        phase = phase[owner] + new * (re[i, i] * new + 2 * lin[owner])
+        cls = cls[owner] + ((new & 3) << (2 * i))
+        if i == 0:
+            yield q, phase, cls
+        else:
+            cols = [col[owner] for col in cols] + [new]
+            yield from expand(cols, zero[owner] & (new == 0), q, phase, cls, i - 1)
+
+    yield from expand([], np.ones(1, dtype=bool), np.zeros(1), np.zeros(1), np.zeros(1, dtype=np.int64), g - 1)
 
 
 @cache
 def _even_tables(g: int):
     """The point-independent part of even_theta_constants, built once per
-    genus: the even characteristics, the offset eps/2 of each eps class,
-    the class of each characteristic, the sign (-1)^{n . delta} of each
-    residue class of n mod 2 in each constant, and each constant's phase
-    i^{eps . delta}.  Residue class r holds the n with n_j = bit j of r."""
+    genus: the even characteristics and, for each, the 2^g classes of
+    m mod 4 in its eps class with their weights i^{m . delta}.  Class
+    index b holds the m with m_j = digit j of b in base 4."""
     evens = all_characteristics(g, "even")
-    eps_values = list(dict.fromkeys(m.eps for m in evens))
-    eps_class = np.array([eps_values.index(m.eps) for m in evens])
     eps = np.array([m.eps for m in evens])
     delta = np.array([m.delta for m in evens])
     residues = (np.arange(1 << g)[:, None] >> np.arange(g)) & 1
-    signs = 1 - 2 * ((delta @ residues.T) % 2)
-    # eps . delta is 0 or 2 mod 4 on even characteristics
-    phases = np.where((eps * delta).sum(axis=1) % 4, -1 + 0j, 1 + 0j)
-    return evens, np.array(eps_values, dtype=float) / 2, eps_class, signs, phases
+    digits = eps[:, None, :] + 2 * residues[None, :, :]
+    bins = (digits << (2 * np.arange(g))).sum(axis=2)
+    weights = np.array([1, 1j, -1, -1j])[(digits * delta[:, None, :]).sum(axis=2) % 4]
+    return evens, bins, weights
 
 
 def block_diag(point1: SiegelPoint, point2: SiegelPoint) -> SiegelPoint:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import mpmath as mp
@@ -8,6 +9,7 @@ from thetastrata.chars import Characteristic, all_characteristics, concat, produ
 from thetastrata.errors import CapExceededError
 from thetastrata.symplectic import SymplecticInteger, random_symplectic, standard_generators
 from thetastrata.theta import (
+    _half_ellipsoid,
     block_diag,
     even_theta_constants,
     generic_siegel_point,
@@ -195,6 +197,49 @@ class TestBatch:
             assert abs(tv.value - single.value) < 1e-12
             assert tv.radius == single.radius
 
+    @pytest.mark.parametrize("word", [None, 6038])
+    def test_genus_four_against_box_oracle(self, word):
+        # the generic point has R = 5; its image under word 6038 has R = 7
+        # and Im tau of condition number 8.9 (lambda_min 0.29)
+        p = generic_siegel_point(4, 70)
+        if word is not None:
+            p = siegel_action(random_symplectic(4, 6, word), p)
+        batch = even_theta_constants(p, 1e-12)
+        evens = all_characteristics(4, "even")
+        radius = {tv.radius for tv in batch.values()}
+        assert radius == {truncation_radius(p, 1e-12)}
+        assert word is None or radius.pop() >= 7
+        for m in (evens[0], evens[5], evens[71], evens[135]):
+            tv = batch[m]
+            box = direct_theta_constant(m, p, tv.radius)
+            assert abs(tv.value - box) <= tv.tail_bound + 1e-13
+
+    def test_half_ellipsoid_against_enumeration(self):
+        # plain-Python oracle: every m in the box with q = m^T (Im form) m
+        # <= bound whose first nonzero entry from the last coordinate down
+        # is positive, with its phase m^T (Re form) m and class of m mod 4
+        p = random_siegel_point(3, np.random.default_rng(90))
+        form = p.tau / 4
+        rows = form.tolist()
+        bound, edge = 9.5, 7
+        expected = []
+        for m in itertools.product(range(-edge, edge + 1), repeat=3):
+            quad = sum(m[i] * rows[i][j] * m[j] for i in range(3) for j in range(3))
+            if next((x for x in reversed(m) if x), 0) >= 0 and quad.imag <= bound:
+                code = sum((x % 4) << (2 * j) for j, x in enumerate(m))
+                expected.append((code, round(quad.imag, 9), round(quad.real, 9)))
+        chunks = list(_half_ellipsoid(form, bound, edge))
+        assert len(chunks) == 1
+        q, phase, cls = chunks[0]
+        found = sorted(zip(cls.tolist(), np.round(q, 9).tolist(), np.round(phase, 9).tolist()))
+        assert found == sorted(expected)
+        assert len(found) < (2 * edge + 1) ** 3 // 4
+        # chunking keeps the points and their order
+        parts = list(_half_ellipsoid(form, bound, edge, limit=50))
+        assert len(parts) > 1
+        for whole, pieces in zip(chunks[0], zip(*parts)):
+            assert np.array_equal(whole, np.concatenate(pieces))
+
 
 class TestBlockDiag:
     def test_shape_and_lambda(self):
@@ -283,3 +328,9 @@ class TestPointUtilities:
         for target in (1e-6, 1e-10, 1e-13):
             tv = theta_constant(Characteristic.from_string("00|00"), p, target)
             assert tv.tail_bound < target
+
+    def test_batch_tail_below_target(self):
+        for p in (random_siegel_point(2, np.random.default_rng(80)), generic_siegel_point(4, 81)):
+            for target in (1e-6, 1e-10, 1e-13):
+                batch = even_theta_constants(p, target)
+                assert all(tv.tail_bound < target for tv in batch.values())
