@@ -394,20 +394,19 @@ def classify(
 
 def classify_from_pattern(
     ft_vanishes: bool,
-    theta_null_vanishes: bool,
-    f1_vanishes: bool,
     vanishing=(),
     factor_flags: dict | None = None,
 ) -> StratumReport:
-    """classify's decision chain, the same function, driven by synthetic
-    flags instead of numerics, covering the branches (X1, X2,
-    hyperelliptic X3) that no constructible period matrix reaches here.
+    """classify's decision chain, the same function, driven by a synthetic
+    Schottky outcome and vanishing set instead of numerics, covering the
+    branches (X1, X2, hyperelliptic X3) that no constructible period matrix
+    reaches here.  Theta-null and F_1 are read off the vanishing set, as
+    classify reads them.
 
     factor_flags may carry "genus3_hyperelliptic": bool to settle the
     elliptic x threefold branch directly; its note then replaces the rule
-    note.  Inconsistent combinations (theta-null vanishing with an empty
-    vanishing set, F_1 claims contradicting the vanishing count) raise
-    ValueError, as do odd, repeated or non-genus-4 members of `vanishing`.
+    note.  Odd, repeated or non-genus-4 members of `vanishing` raise
+    ValueError.
     """
     members = tuple(vanishing)
     for m in members:
@@ -417,16 +416,8 @@ def classify_from_pattern(
         raise ValueError("repeated characteristic in vanishing set")
     if any(m.genus != 4 for m in members):
         raise ValueError("vanishing set members must have genus 4")
-    if theta_null_vanishes != bool(members):
-        raise ValueError("inconsistent flags: theta-null vanishes iff some even constant does")
-    if f1_vanishes and len(members) == 1:
-        raise ValueError("inconsistent flags: with one vanishing constant F_1 is a nonzero product")
-    if not f1_vanishes and len(members) >= 2:
-        raise ValueError("inconsistent flags: two vanishing constants force F_1 to vanish")
     flags = factor_flags or {}
-    notes = [f"synthetic pattern: FT={'0' if ft_vanishes else 'nonzero'}, "
-             f"THETANULL={'0' if theta_null_vanishes else 'nonzero'}, "
-             f"F1={'0' if f1_vanishes else 'nonzero'}"]
+    notes = [f"synthetic pattern: FT={'0' if ft_vanishes else 'nonzero'}"]
     label, splits = _decide(not ft_vanishes, members, notes)
     if [w.found for w in splits] == [True, False] and "genus3_hyperelliptic" in flags:
         hyperelliptic = flags["genus3_hyperelliptic"]

@@ -17,14 +17,16 @@ eigenvalue of Im tau: numpy's eigenvalue, lowered by a few rounding units
 of ||Im tau|| until a Cholesky factorization of Im tau - lambda_min * 1
 succeeds.
 
-even_theta_constants sums less than the box: of its points it keeps only
-those with q = p^T (Im tau) p <= C, where p = n + eps/2 and
-C = ln(2 (2R+1)^g / (target - tail(R))) / pi, found by Fincke-Pohst
+Neither theta_function nor even_theta_constants sums the whole box.
+With Y = Im tau, p = n + eps/2 and the centre c = -Y^{-1} Im z - eps/2, a
+term has modulus exp(-pi (q - L)), where q = (n - c)^T Y (n - c) and
+L = Im z^T Y^{-1} Im z.  Both keep only the box points with q <= C + L,
+C = ln(2 (2R+1)^g / (target - tail(R))) / pi, found by one Fincke-Pohst
 enumeration of that ellipsoid (Deconinck, Heil, Bobenko, van Hoeij and
 Schmies, Math. Comp. 73 (2004)).  Every dropped term has modulus below
-exp(-pi C), so its bound has two parts: the box tail plus
+exp(-pi C), so the bound has two parts: the box tail plus
 (2R+1)^g exp(-pi C) = (target - tail(R)) / 2 for the dropped box terms,
-which keeps it below target.  theta_function sums the whole box.
+which keeps it below target.
 
 Arithmetic is double precision; the tail bound covers truncation only,
 not the ~1e-15-per-term floating point floor.
@@ -63,8 +65,7 @@ DEFAULT_RADIUS_CAP = 64
 IM_Z_CAP = 10.0
 _DET_FLOOR = 1e-8
 _ACTION_SYM_TOL = 1e-9  # the solve leaves tau' symmetric only to rounding
-_CHUNK_POINTS = 1 << 21
-_ELLIPSOID_CHUNK = 1 << 16  # points per pass of even_theta_constants, bounding its memory
+_ELLIPSOID_CHUNK = 1 << 16  # points per pass of the enumeration, bounding its memory
 _CUT_SLACK = 1e-9  # widens the ellipsoid past the rounding of its Cholesky sums
 
 
@@ -168,21 +169,23 @@ def truncation_radius(point: SiegelPoint, target: float, z_im_norm: float = 0.0)
         radius += 1
 
 
-def _lattice_slabs(g: int, radius: int, limit: int = _CHUNK_POINTS):
-    """Yield the integer box [-radius, radius]^g as (n_pts, g) arrays in
-    lexicographic order, slabbed along leading axes to bound memory."""
-    if (2 * radius + 1) ** g <= limit or g == 1:
-        axes = [np.arange(-radius, radius + 1)] * g
-        yield np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, g)
-        return
-    for n1 in range(-radius, radius + 1):
-        for sub in _lattice_slabs(g - 1, radius, limit):
-            lead = np.full((sub.shape[0], 1), n1)
-            yield np.concatenate([lead, sub], axis=1)
+def _truncation(point: SiegelPoint, target: float, z_im: float = 0.0, lift: float = 0.0):
+    """(radius, tail_bound, bound) of one theta sum: the box radius R, the
+    two-part error bound and the enumeration bound C + lift on q (lift is
+    L), widened past the rounding of the enumeration's Cholesky sums."""
+    radius = truncation_radius(point, target, z_im)
+    tail = truncation_tail_bound(point.genus, point.lambda_min, radius, z_im)
+    n_box = (2 * radius + 1) ** point.genus
+    cut = math.log(2 * n_box / (target - tail)) / math.pi
+    dropped = n_box * math.exp(-math.pi * cut) * (1 + 1e-12)  # padded past float rounding
+    return radius, tail + dropped, (cut + lift) * (1 + _CUT_SLACK)
 
 
 def theta_function(m: Characteristic, z, point: SiegelPoint, target: float) -> ThetaValue:
-    """theta_m(z, tau) with certified truncation error below target."""
+    """theta_m(z, tau) with certified truncation error below target, summed
+    over the n in the ellipsoid q <= C + L within the box |n|_inf <= R.  A
+    term's phase is pi (n^T (Re tau) n + 2 l^T n) plus a constant, with
+    l = Re tau eps/2 + Re z + delta/2; radius is R."""
     g = point.genus
     if m.genus != g:
         raise ValueError(f"genus mismatch: characteristic {m.genus}, point {g}")
@@ -192,17 +195,15 @@ def theta_function(m: Characteristic, z, point: SiegelPoint, target: float) -> T
     z_im = float(np.linalg.norm(zv.imag))
     if z_im > IM_Z_CAP:
         raise ValueError(f"|Im z| = {z_im:.3g} exceeds cap {IM_Z_CAP}")
-    radius = truncation_radius(point, target, z_im)
-    tail = truncation_tail_bound(g, point.lambda_min, radius, z_im)
     eps = np.array(m.eps, dtype=float) / 2
-    shift = zv + np.array(m.delta, dtype=float) / 2
-    value = 0j
-    for grid in _lattice_slabs(g, radius):
-        p = grid + eps
-        quad = ((p @ point.tau) * p).sum(axis=1)
-        lin = p @ shift
-        value += complex(np.exp(1j * np.pi * (quad + 2 * lin)).sum())
-    return ThetaValue(value, tail, radius)
+    shift = zv.real + np.array(m.delta, dtype=float) / 2
+    offset = np.linalg.solve(point.tau.imag, zv.imag)  # Y^{-1} Im z
+    lift = float(zv.imag @ offset)
+    radius, tail_bound, bound = _truncation(point, target, z_im, lift)
+    chunks = _ellipsoid(point.tau, bound, radius, -offset - eps, point.tau.real @ eps + shift)
+    value = sum(complex(np.exp(np.pi * (lift - q + 1j * phase)).sum()) for q, phase, _ in chunks)
+    const = eps @ point.tau.real @ eps + 2 * eps @ shift
+    return ThetaValue(value * complex(np.exp(1j * np.pi * const)), tail_bound, radius)
 
 
 def theta_constant(m: Characteristic, point: SiegelPoint, target: float) -> ThetaValue:
@@ -220,70 +221,71 @@ def even_theta_constants(point: SiegelPoint, target: float) -> dict[Characterist
     unity exp(pi i p^T delta) = i^{m . delta}, so the sum collapses onto
     the 4^g classes of m mod 4, each folded with np.bincount.
 
-    Only the m with q = p^T (Im tau) p <= C are summed, where
-    C = ln(2 (2R+1)^g / (target - tail)) / pi and tail is the box tail
-    bound; Fincke-Pohst enumeration finds them without visiting the rest
-    of the box.  Every box term left out has modulus below exp(-pi C), so
-    the reported tail_bound is the box tail plus (2R+1)^g exp(-pi C) =
-    (target - tail) / 2, below target.  The terms of m and -m are equal,
-    and on even characteristics their classes carry the same weight
-    (m . delta is even), so the enumeration visits half of the ellipsoid
-    and counts each term twice.  It runs over |m|_inf <= 2R+1, the box and
-    its mirror image; the few terms this adds beyond the box are series
-    terms, which leave the bound intact.  radius is the box radius R.
+    Only the m with q = p^T (Im tau) p <= C are summed, the cut of
+    theta_function at z = 0.  The terms of m and -m are equal, and on even
+    characteristics their classes carry the same weight (m . delta is
+    even), so the enumeration visits half of the ellipsoid and counts each
+    term twice.  It runs over |m|_inf <= 2R+1, the box and its mirror
+    image; the few terms this adds beyond the box are series terms, which
+    leave the bound intact.  radius is the box radius R.
     """
     g = point.genus
-    radius = truncation_radius(point, target)
-    tail = truncation_tail_bound(g, point.lambda_min, radius)
-    n_box = (2 * radius + 1) ** g
-    cut = math.log(2 * n_box / (target - tail)) / math.pi
-    dropped = n_box * math.exp(-math.pi * cut) * (1 + 1e-12)  # padded past float rounding
+    radius, tail_bound, bound = _truncation(point, target)
     evens, bins, weights = _even_tables(g)
     sums = np.zeros(4**g, dtype=complex)
-    for q, phase, cls in _half_ellipsoid(point.tau / 4, cut * (1 + _CUT_SLACK), 2 * radius + 1):
+    origin = np.zeros(g)
+    for q, phase, cls in _ellipsoid(point.tau / 4, bound, 2 * radius + 1, origin, origin, half=True):
         size = 2 * np.exp(-np.pi * q)
         angle = np.pi * phase
         sums += np.bincount(cls, size * np.cos(angle), 4**g)
         sums += 1j * np.bincount(cls, size * np.sin(angle), 4**g)
     sums[0] -= 1  # m = 0 is its own mirror image: its term 1 went in twice
     values = (weights * sums[bins]).sum(axis=1)
-    return {m: ThetaValue(complex(v), tail + dropped, radius) for m, v in zip(evens, values)}
+    return {m: ThetaValue(complex(v), tail_bound, radius) for m, v in zip(evens, values)}
 
 
-def _half_ellipsoid(form: np.ndarray, bound: float, edge: int, limit: int = _ELLIPSOID_CHUNK):
+def _ellipsoid(form: np.ndarray, bound: float, edge: int, center: np.ndarray, shift: np.ndarray,
+               half: bool = False, limit: int = _ELLIPSOID_CHUNK):
     """Yield (q, phase, cls) arrays, in chunks of about `limit`, over the
-    integer m with |m|_inf <= edge and q = m^T (Im form) m <= bound whose
-    first nonzero entry, read from m_{g-1} down, is positive, and over
-    m = 0.  phase = m^T (Re form) m and cls = sum_j (m_j mod 4) 4^j.
+    integer x with |x|_inf <= edge and q = (x - center)^T (Im form)
+    (x - center) <= bound.  phase = x^T (Re form) x + 2 shift^T x and
+    cls = sum_j (x_j mod 4) 4^j.
 
-    Fincke-Pohst: with Im form = L L^T, q = sum_i (sum_{j>=i} L_ji m_j)^2,
-    so once m_{i+1}, ..., m_{g-1} are fixed, m_i runs over an interval.
-    Each array is built up one coordinate at a time.
+    With half, only x = 0 and the x whose first nonzero entry, read from
+    x_{g-1} down, is positive are visited.  That is half of the sum only
+    when center = 0 and shift = 0, where x and -x carry the same q and
+    phase.
+
+    Fincke-Pohst: with Im form = L L^T,
+    q = sum_i (sum_{j>=i} L_ji (x_j - center_j))^2, so once x_{i+1}, ...,
+    x_{g-1} are fixed, x_i runs over an interval.  Each array is built up
+    one coordinate at a time.
     """
     g = len(form)
     chol = np.linalg.cholesky(form.imag)
     re = form.real
+    pull = chol.T @ center  # pull_i = sum_{j>=i} L_ji center_j
 
     def expand(cols, zero, q, phase, cls, i):
-        # cols holds m_{g-1}, ..., m_{i+1}; zero marks an all-zero prefix
-        center = np.zeros(len(q))
-        lin = np.zeros(len(q))
+        # cols holds x_{g-1}, ..., x_{i+1}; zero marks an all-zero prefix
+        mid = np.full(len(q), pull[i])
+        lin = np.full(len(q), float(shift[i]))
         for k, col in enumerate(cols):
-            center -= chol[g - 1 - k, i] * col
+            mid -= chol[g - 1 - k, i] * col
             lin += re[g - 1 - k, i] * col
-        center /= chol[i, i]
-        half = np.sqrt(np.maximum(bound - q, 0.0)) / chol[i, i]
-        first = np.maximum(np.ceil(center - half), np.where(zero, 0, -edge)).astype(np.int64)
-        count = np.maximum(np.minimum(np.floor(center + half), edge).astype(np.int64) - first + 1, 0)
+        mid /= chol[i, i]
+        half_width = np.sqrt(np.maximum(bound - q, 0.0)) / chol[i, i]
+        first = np.maximum(np.ceil(mid - half_width), np.where(zero, 0, -edge)).astype(np.int64)
+        count = np.maximum(np.minimum(np.floor(mid + half_width), edge).astype(np.int64) - first + 1, 0)
         total = int(count.sum())
         if total > limit and len(q) > 1:
-            mid = len(q) // 2
-            for part in (slice(None, mid), slice(mid, None)):
+            at = len(q) // 2
+            for part in (slice(None, at), slice(at, None)):
                 yield from expand([col[part] for col in cols], zero[part], q[part], phase[part], cls[part], i)
             return
         owner = np.repeat(np.arange(len(q)), count)
         new = first[owner] + np.arange(total) - np.repeat(np.cumsum(count) - count, count)
-        q = q[owner] + (chol[i, i] * (new - center[owner])) ** 2
+        q = q[owner] + (chol[i, i] * (new - mid[owner])) ** 2
         phase = phase[owner] + new * (re[i, i] * new + 2 * lin[owner])
         cls = cls[owner] + ((new & 3) << (2 * i))
         if i == 0:
@@ -292,7 +294,7 @@ def _half_ellipsoid(form: np.ndarray, bound: float, edge: int, limit: int = _ELL
             cols = [col[owner] for col in cols] + [new]
             yield from expand(cols, zero[owner] & (new == 0), q, phase, cls, i - 1)
 
-    yield from expand([], np.ones(1, dtype=bool), np.zeros(1), np.zeros(1), np.zeros(1, dtype=np.int64), g - 1)
+    yield from expand([], np.full(1, half), np.zeros(1), np.zeros(1), np.zeros(1, dtype=np.int64), g - 1)
 
 
 @cache

@@ -180,14 +180,14 @@ def test_criterion_7_classifier_end_to_end():
     x3_point = block_diag(random_siegel_point(1, rng), random_siegel_point(3, rng))
     cases.append(("block(e,tau3)", classify(x3_point).label, "X3"))
 
-    cases.append(("pattern FT=0", classify_from_pattern(True, False, False).label, "X1"))
+    cases.append(("pattern FT=0", classify_from_pattern(True).label, "X1"))
     one = [product_split_tuple(4, 1)[0]]
-    cases.append(("pattern FT=0,TN=0", classify_from_pattern(True, True, False, one).label, "X2"))
+    cases.append(("pattern FT=0,TN=0", classify_from_pattern(True, one).label, "X2"))
     evens = all_characteristics(4, "even")
-    hyp = classify_from_pattern(True, True, True, [evens[0], evens[1]])
+    hyp = classify_from_pattern(True, [evens[0], evens[1]])
     cases.append(("pattern Hyp4", hyp.label, "X3"))
     conj = act_on_tuple(random_symplectic(4, 4, 770).mod_two(), product_split_tuple(4, 1))
-    prod = classify_from_pattern(True, True, True, list(conj), {"genus3_hyperelliptic": False})
+    prod = classify_from_pattern(True, list(conj), {"genus3_hyperelliptic": False})
     cases.append(("pattern A1x(A3-Hyp3)", prod.label, "X3"))
 
     failures = [(name, got, want) for name, got, want in cases if got != want]

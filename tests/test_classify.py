@@ -441,28 +441,28 @@ class TestClassify:
 
 class TestClassifyFromPattern:
     def test_x1_and_x2(self):
-        assert classify_from_pattern(True, False, False).label == "X1"
+        assert classify_from_pattern(True).label == "X1"
         one = list(product_split_tuple(4, 1))[0]
-        assert classify_from_pattern(True, True, False, [one]).label == "X2"
+        assert classify_from_pattern(True, [one]).label == "X2"
 
     def test_x0(self):
-        assert classify_from_pattern(False, False, False).label == "X0"
+        assert classify_from_pattern(False).label == "X0"
 
     def test_hyp4_branch(self):
         evens = all_characteristics(4, "even")
         two = [evens[0], evens[1]]
-        rep = classify_from_pattern(True, True, True, two)
+        rep = classify_from_pattern(True, two)
         assert rep.label == "X3"
         assert not any(w.found for w in rep.splits)
 
     def test_product_branch_with_flags(self):
         conj = act_on_tuple(random_symplectic(4, 4, 99).mod_two(), product_split_tuple(4, 1))
-        rep = classify_from_pattern(True, True, True, list(conj), {"genus3_hyperelliptic": False})
+        rep = classify_from_pattern(True, list(conj), {"genus3_hyperelliptic": False})
         assert rep.label == "X3"
-        rep4 = classify_from_pattern(True, True, True, list(conj), {"genus3_hyperelliptic": True})
+        rep4 = classify_from_pattern(True, list(conj), {"genus3_hyperelliptic": True})
         assert rep4.label == "X4"
         # without the flag the 28-element set resolves by its size
-        assert classify_from_pattern(True, True, True, list(conj)).label == "X3"
+        assert classify_from_pattern(True, list(conj)).label == "X3"
 
     def test_full_split_pattern(self):
         members = [
@@ -470,41 +470,34 @@ class TestClassifyFromPattern:
             if any(e * d == 1 for e, d in zip(m.eps, m.delta))
         ]
         assert len(members) == 55
-        assert classify_from_pattern(True, True, True, members).label == "X6"
+        assert classify_from_pattern(True, members).label == "X6"
 
     def test_inconsistent_flags(self):
-        with pytest.raises(ValueError, match="theta-null"):
-            classify_from_pattern(True, True, False)
-        one = list(product_split_tuple(4, 1))[:1]
-        with pytest.raises(ValueError, match="F_1"):
-            classify_from_pattern(True, True, True, one)
-        with pytest.raises(ValueError, match="F_1"):
-            classify_from_pattern(True, True, False, list(product_split_tuple(4, 1))[:2])
         with pytest.raises(ValueError, match="odd"):
-            classify_from_pattern(True, True, True, [Characteristic.from_string("1|1")] )
+            classify_from_pattern(True, [Characteristic.from_string("1|1")] )
 
     def test_rejects_repeated_and_foreign_members(self):
         i1 = list(product_split_tuple(4, 1))
         with pytest.raises(ValueError, match="repeated"):
-            classify_from_pattern(True, True, True, i1 + i1[:3])
+            classify_from_pattern(True, i1 + i1[:3])
         with pytest.raises(ValueError, match="repeated"):
-            classify_from_pattern(True, True, True, [i1[0], i1[0]])
+            classify_from_pattern(True, [i1[0], i1[0]])
         with pytest.raises(ValueError, match="genus 4"):
-            classify_from_pattern(True, True, True, list(product_split_tuple(3, 1)))
+            classify_from_pattern(True, list(product_split_tuple(3, 1)))
 
     def test_every_report_names_its_rule(self):
         evens = all_characteristics(4, "even")
         conj = list(act_on_tuple(random_symplectic(4, 4, 99).mod_two(), product_split_tuple(4, 1)))
         full = [m for m in evens if any(e * d for e, d in zip(m.eps, m.delta))]
         cases = {
-            "X0": (False, False, False, ()),
-            "X1": (True, False, False, ()),
-            "X2": (True, True, False, evens[:1]),
-            "hyperelliptic X3": (True, True, True, evens[:2]),
-            "28-set": (True, True, True, conj),
-            "28-set, flagged": (True, True, True, conj, {"genus3_hyperelliptic": True}),
-            "55-set": (True, True, True, full),
-            "30-set": (True, True, True, conj + [m for m in evens if m not in conj][:2]),
+            "X0": (False, ()),
+            "X1": (True, ()),
+            "X2": (True, evens[:1]),
+            "hyperelliptic X3": (True, evens[:2]),
+            "28-set": (True, conj),
+            "28-set, flagged": (True, conj, {"genus3_hyperelliptic": True}),
+            "55-set": (True, full),
+            "30-set": (True, conj + [m for m in evens if m not in conj][:2]),
         }
         labels = {}
         for name, args in cases.items():
@@ -521,7 +514,7 @@ class TestClassifyFromPattern:
     def test_agrees_with_classify(self, block_13, block_22, block_112):
         for point in (block_13, block_22, block_112, validate_siegel(1j * np.eye(4))):
             rep = classify(point)
-            pattern = classify_from_pattern(True, True, True, rep.vanishing)
+            pattern = classify_from_pattern(True, rep.vanishing)
             assert pattern.label == rep.label
             assert [(w.k, w.found) for w in pattern.splits] == [(w.k, w.found) for w in rep.splits]
             assert pattern.notes[1:] == rep.notes

@@ -107,6 +107,6 @@ def test_unresolved_on_contradictory_synthetic_set():
     # a 1+3 witness exists but the vanishing count matches no stratum
     base = list(product_split_tuple(4, 1))
     extras = [m for m in all_characteristics(4, "even") if m not in base][:2]
-    rep = classify_from_pattern(True, True, True, base + extras)
+    rep = classify_from_pattern(True, base + extras)
     assert rep.label == "UNRESOLVED"
     assert rep.notes

@@ -9,7 +9,7 @@ from thetastrata.chars import Characteristic, all_characteristics, concat, produ
 from thetastrata.errors import CapExceededError
 from thetastrata.symplectic import SymplecticInteger, random_symplectic, standard_generators
 from thetastrata.theta import (
-    _half_ellipsoid,
+    _ellipsoid,
     block_diag,
     even_theta_constants,
     generic_siegel_point,
@@ -178,6 +178,33 @@ class TestThetaValues:
         ref = direct_theta_sum(m.eps, m.delta, list(z), rows, tv.radius + 6)
         assert abs(tv.value - ref) < 1e-9
 
+    def test_theta_function_far_centre_against_oracle(self):
+        # |Im z| = 2.2 puts the ellipsoid's centre two box shells from the
+        # origin and |theta| near 3e7; at target 1e-6 every term left out
+        # is below 1e-9 |theta|, so a cut that ignores the linear term's
+        # lift shows far above rounding
+        p = random_siegel_point(2, np.random.default_rng(12))
+        z = np.array([0.35 + 1.9j, -0.15 - 1.2j])
+        rows = [[complex(x) for x in row] for row in p.tau]
+        for m in all_characteristics(2):
+            tv = theta_function(m, z, p, 1e-6)
+            ref = direct_theta_sum(m.eps, m.delta, list(z), rows, tv.radius)
+            assert abs(tv.value - ref) <= tv.tail_bound + 1e-13 * max(1, abs(ref))
+
+    def test_genus_four_theta_function_with_z(self):
+        # the image of a generic point under word 6038 (lambda_min 0.29), at
+        # a z whose imaginary part lies along the softest direction of
+        # Im tau, which moves the ellipsoid's centre furthest; against the
+        # plain box sum at the same radius (R = 9: the oracle takes seconds)
+        p = siegel_action(random_symplectic(4, 6, 6038), generic_siegel_point(4, 70))
+        z = np.array([0.3, -0.2, 0.1, 0.4]) + 0.6j * np.linalg.eigh(p.tau.imag)[1][:, 0]
+        rows = [[complex(x) for x in row] for row in p.tau]
+        for m in (all_characteristics(4, "even")[5], all_characteristics(4, "odd")[17]):
+            tv = theta_function(m, z, p, 1e-8)
+            assert tv.radius == 9
+            ref = direct_theta_sum(m.eps, m.delta, list(z), rows, tv.radius)
+            assert abs(tv.value - ref) <= tv.tail_bound + 1e-13 * max(1, abs(ref))
+
     def test_genus_mismatch_and_im_z_cap(self):
         p = validate_siegel([[1j]])
         with pytest.raises(ValueError, match="genus"):
@@ -215,31 +242,40 @@ class TestBatch:
             assert abs(tv.value - box) <= tv.tail_bound + 1e-13
 
     def test_half_ellipsoid_against_enumeration(self):
-        # plain-Python oracle: every m in the box with q = m^T (Im form) m
-        # <= bound whose first nonzero entry from the last coordinate down
-        # is positive, with its phase m^T (Re form) m and class of m mod 4
+        # plain-Python oracle: every x in the box with
+        # q = (x - c)^T (Im form) (x - c) <= bound, its phase
+        # x^T (Re form) x + 2 l^T x and its class of x mod 4; the half
+        # enumeration (c = 0, l = 0) keeps only the x whose first nonzero
+        # entry from the last coordinate down is positive.  The full
+        # ellipsoid's centre sits near a face, so the box clips it.
         p = random_siegel_point(3, np.random.default_rng(90))
         form = p.tau / 4
         rows = form.tolist()
-        bound, edge = 9.5, 7
-        expected = []
-        for m in itertools.product(range(-edge, edge + 1), repeat=3):
-            quad = sum(m[i] * rows[i][j] * m[j] for i in range(3) for j in range(3))
-            if next((x for x in reversed(m) if x), 0) >= 0 and quad.imag <= bound:
-                code = sum((x % 4) << (2 * j) for j, x in enumerate(m))
-                expected.append((code, round(quad.imag, 9), round(quad.real, 9)))
-        chunks = list(_half_ellipsoid(form, bound, edge))
-        assert len(chunks) == 1
-        q, phase, cls = chunks[0]
-        found = sorted(zip(cls.tolist(), np.round(q, 9).tolist(), np.round(phase, 9).tolist()))
-        assert found == sorted(expected)
-        assert len(found) < (2 * edge + 1) ** 3 // 4
-        # chunking keeps the points and their order
-        parts = list(_half_ellipsoid(form, bound, edge, limit=50))
-        assert len(parts) > 1
-        for whole, pieces in zip(chunks[0], zip(*parts)):
-            assert np.array_equal(whole, np.concatenate(pieces))
-
+        edge = 7
+        origin = (0.0, 0.0, 0.0)
+        cases = [(9.5, origin, origin, True), (7.5, (5.3, -1.6, 2.45), (0.3, -0.7, 1.15), False)]
+        for bound, center, shift, half in cases:
+            expected = []
+            for x in itertools.product(range(-edge, edge + 1), repeat=3):
+                d = [xi - ci for xi, ci in zip(x, center)]
+                quad = sum(d[i] * rows[i][j].imag * d[j] for i in range(3) for j in range(3))
+                phase = sum(x[i] * rows[i][j].real * x[j] for i in range(3) for j in range(3))
+                phase += 2 * sum(li * xi for li, xi in zip(shift, x))
+                if (not half or next((v for v in reversed(x) if v), 0) >= 0) and quad <= bound:
+                    code = sum((v % 4) << (2 * j) for j, v in enumerate(x))
+                    expected.append((code, round(quad, 9), round(phase, 9)))
+            args = (form, bound, edge, np.array(center), np.array(shift), half)
+            chunks = list(_ellipsoid(*args))
+            assert len(chunks) == 1
+            q, phase, cls = chunks[0]
+            found = sorted(zip(cls.tolist(), np.round(q, 9).tolist(), np.round(phase, 9).tolist()))
+            assert found == sorted(expected)
+            assert 0 < len(found) < (2 * edge + 1) ** 3 // 4
+            # chunking keeps the points and their order
+            parts = list(_ellipsoid(*args, limit=50))
+            assert len(parts) > 1
+            for whole, pieces in zip(chunks[0], zip(*parts)):
+                assert np.array_equal(whole, np.concatenate(pieces))
 
 class TestBlockDiag:
     def test_shape_and_lambda(self):
@@ -328,6 +364,13 @@ class TestPointUtilities:
         for target in (1e-6, 1e-10, 1e-13):
             tv = theta_constant(Characteristic.from_string("00|00"), p, target)
             assert tv.tail_bound < target
+
+    def test_theta_function_tail_below_target(self):
+        m = Characteristic.from_string("0101|1000")
+        for p in (random_siegel_point(4, np.random.default_rng(80)), generic_siegel_point(4, 81)):
+            z = np.array([0.2 + 0.5j, -0.1 - 0.3j, 0.4 + 0.2j, 0.1 + 0.6j])
+            for target in (1e-6, 1e-10, 1e-13):
+                assert theta_function(m, z, p, target).tail_bound < target
 
     def test_batch_tail_below_target(self):
         for p in (random_siegel_point(2, np.random.default_rng(80)), generic_siegel_point(4, 81)):
