@@ -38,6 +38,8 @@ __all__ = [
     "split",
     "swap",
     "code_parity",
+    "code_bits",
+    "bits_code",
     "pairing",
     "product_split_tuple",
     "n_k",
@@ -72,7 +74,7 @@ class Characteristic:
         if any(b not in (0, 1) for b in eps + delta):
             raise ValueError("characteristic entries must be 0 or 1")
         object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "code", int("".join(map(str, eps + delta)), 2))
+        object.__setattr__(self, "code", bits_code(eps + delta))
 
     @classmethod
     def from_code(cls, genus: int, code: int) -> "Characteristic":
@@ -114,6 +116,16 @@ def swap(code: int, g: int) -> int:
     """The genus-g code with its eps and delta halves exchanged."""
     eps, delta = _halves(code, g)
     return (delta << g) | eps
+
+
+def code_bits(code: int, g: int) -> tuple[int, ...]:
+    """The 2g bits eps_1, ..., eps_g, delta_1, ..., delta_g of a genus-g code."""
+    return _bits(code, 2 * g)
+
+
+def bits_code(bits) -> int:
+    """The code whose bits, eps_1 first, are `bits`; inverse to code_bits."""
+    return int("".join(map(str, bits)), 2)
 
 
 def code_parity(code: int, g: int) -> int:

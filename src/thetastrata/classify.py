@@ -46,6 +46,7 @@ from .chars import (
     Characteristic,
     CharTuple,
     all_characteristics,
+    code_bits,
     code_parity,
     even_count,
     pairing,
@@ -224,22 +225,11 @@ def _symplectic_basis(g: int, pairs: list[tuple[int, int]]) -> list[tuple[int, i
 
 def _basis_element(g: int, pairs: list[tuple[int, int]]) -> SymplecticModTwo:
     """The gamma whose linear part [[D, C], [B, A]] sends e_j = [unit_j|0]
-    to pairs[j][0] and f_j = [0|unit_j] to pairs[j][1]: column j of D
-    (of B) is the eps (delta) half of pairs[j][0], and likewise for C and
-    A with pairs[j][1]."""
-    xs = [Characteristic.from_code(g, e) for e, _ in pairs]
-    ys = [Characteristic.from_code(g, f) for _, f in pairs]
-
-    def columns(vectors):
-        return tuple(zip(*vectors))
-
-    return SymplecticModTwo(
-        g,
-        columns(y.delta for y in ys),
-        columns(x.delta for x in xs),
-        columns(y.eps for y in ys),
-        columns(x.eps for x in xs),
-    )
+    to pairs[j][0] and f_j = [0|unit_j] to pairs[j][1]: column j of it is
+    the bits of pairs[j][0], column g + j those of pairs[j][1]."""
+    columns = [code_bits(e, g) for e, _ in pairs] + [code_bits(f, g) for _, f in pairs]
+    linear = np.array(columns, dtype=object).T
+    return SymplecticModTwo._of(np.roll(linear, g, axis=(0, 1)))
 
 
 def detect_split(chars, k: int) -> SplitWitness:
@@ -392,21 +382,13 @@ def classify(
     return StratumReport(label, mags, vrep.members, splits, rel_threshold, vrep.margin, warnings, tuple(notes))
 
 
-def classify_from_pattern(
-    ft_vanishes: bool,
-    vanishing=(),
-    factor_flags: dict | None = None,
-) -> StratumReport:
+def classify_from_pattern(ft_vanishes: bool, vanishing=()) -> StratumReport:
     """classify's decision chain, the same function, driven by a synthetic
     Schottky outcome and vanishing set instead of numerics, covering the
     branches (X1, X2, hyperelliptic X3) that no constructible period matrix
     reaches here.  Theta-null and F_1 are read off the vanishing set, as
-    classify reads them.
-
-    factor_flags may carry "genus3_hyperelliptic": bool to settle the
-    elliptic x threefold branch directly; its note then replaces the rule
-    note.  Odd, repeated or non-genus-4 members of `vanishing` raise
-    ValueError.
+    classify reads them.  Odd, repeated or non-genus-4 members of
+    `vanishing` raise ValueError.
     """
     members = tuple(vanishing)
     for m in members:
@@ -416,11 +398,6 @@ def classify_from_pattern(
         raise ValueError("repeated characteristic in vanishing set")
     if any(m.genus != 4 for m in members):
         raise ValueError("vanishing set members must have genus 4")
-    flags = factor_flags or {}
     notes = [f"synthetic pattern: FT={'0' if ft_vanishes else 'nonzero'}"]
     label, splits = _decide(not ft_vanishes, members, notes)
-    if [w.found for w in splits] == [True, False] and "genus3_hyperelliptic" in flags:
-        hyperelliptic = flags["genus3_hyperelliptic"]
-        label = "X4" if hyperelliptic else "X3"
-        notes[-1] = f"1+3 split with genus-3 factor flagged {'' if hyperelliptic else 'non-'}hyperelliptic"
     return StratumReport(label, {}, members, splits, 0.0, float("inf"), (), tuple(notes))

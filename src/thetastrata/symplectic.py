@@ -1,8 +1,10 @@
-"""The integer symplectic group in block form and its action on characteristics.
+"""The integer symplectic group as one matrix and its action on characteristics.
 
-Elements of Sp(2g, Z) are kept as exact integer blocks A, B, C, D with
-A^T D - C^T B = 1, A^T C and B^T D symmetric.  Reduction mod 2 lands in
-Sp(2g, F2), which acts on theta characteristics by the affine map
+An element of Sp(2g, Z) is one 2g x 2g matrix M = [[A, B], [C, D]] of
+exact Python ints with M^T J M = J, J = [[0, 1], [-1, 0]]; the blocks
+A, B, C, D are views of it.  Reduction mod 2 lands in Sp(2g, F2), where
+the same condition holds mod 2, and which acts on theta characteristics
+by the affine map
 
     gamma . [eps|delta] = [[D, C], [B, A]] [eps; delta]
                           + [diag(C D^T); diag(A B^T)]   (mod 2).
@@ -26,8 +28,10 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cache, cached_property
 
+import numpy as np
+
 from . import _gf2
-from .chars import Characteristic, CharTuple, all_characteristics, code_parity
+from .chars import Characteristic, CharTuple, all_characteristics, bits_code, code_parity
 from .errors import CapExceededError
 
 __all__ = [
@@ -53,148 +57,112 @@ def _as_matrix(rows) -> Matrix:
     return tuple(tuple(int(x) for x in row) for row in rows)
 
 
-def _identity(g: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(g)) for i in range(g))
+def _exact(rows) -> np.ndarray:
+    """rows as a dtype=object array of Python ints, which no product overflows."""
+    return np.array(_as_matrix(rows), dtype=object)
 
 
-def _zero(g: int) -> Matrix:
-    return tuple((0,) * g for _ in range(g))
+@cache
+def _form(g: int) -> np.ndarray:
+    """J = [[0, 1], [-1, 0]] in g x g blocks."""
+    return _exact([[(j == i + g) - (i == j + g) for j in range(2 * g)] for i in range(2 * g)])
 
 
-def _matmul(x: Matrix, y: Matrix) -> Matrix:
-    yt = tuple(zip(*y))
-    return tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in yt) for row in x)
-
-
-def _transpose(x: Matrix) -> Matrix:
-    return tuple(zip(*x))
-
-
-def _add(x: Matrix, y: Matrix) -> Matrix:
-    return tuple(tuple(a + b for a, b in zip(rx, ry)) for rx, ry in zip(x, y))
-
-
-def _neg(x: Matrix) -> Matrix:
-    return tuple(tuple(-a for a in row) for row in x)
-
-
-def _mod2(x: Matrix) -> Matrix:
-    return tuple(tuple(a % 2 for a in row) for row in x)
-
-
-def _is_symmetric(x: Matrix) -> bool:
-    return x == _transpose(x)
-
-
-def _block_product(x, y):
-    """[[A, B], [C, D]] [[A', B'], [C', D']] on block 4-tuples, unchecked."""
-    a, b, c, d = x
-    u, v, w, z = y
-    return (
-        _add(_matmul(a, u), _matmul(b, w)),
-        _add(_matmul(a, v), _matmul(b, z)),
-        _add(_matmul(c, u), _matmul(d, w)),
-        _add(_matmul(c, v), _matmul(d, z)),
-    )
-
-
-def _block_inverse(x):
-    """The symplectic inverse [[D^T, -B^T], [-C^T, A^T]] of a block
-    4-tuple, unchecked."""
-    a, b, c, d = x
-    return _transpose(d), _neg(_transpose(b)), _neg(_transpose(c)), _transpose(a)
-
-
-@dataclass(frozen=True)
-class _Blocks:
-    """A symplectic matrix [[A, B], [C, D]] in g x g blocks whose entries
-    are kept reduced by _reduce: A^T D - C^T B = 1, A^T C and B^T D
-    symmetric."""
-
-    genus: int
-    a: Matrix
-    b: Matrix
-    c: Matrix
-    d: Matrix
+class _Element:
+    """A symplectic matrix M = [[A, B], [C, D]], held as one 2g x 2g
+    dtype=object array `matrix`.  Every element is checked when built:
+    M^T J M = J, mod 2 for SymplecticModTwo, whose entries are 0/1."""
 
     _modulo_two = False
 
-    def _reduce(self, x: Matrix) -> Matrix:
-        return _mod2(x) if self._modulo_two else x
+    def __init__(self, genus: int, a, b, c, d):
+        blocks = [_as_matrix(x) for x in (a, b, c, d)]
+        for name, x in zip("ABCD", blocks):
+            if genus < 1 or len(x) != genus or any(len(row) != genus for row in x):
+                raise ValueError(f"block {name} must be {genus}x{genus}")
+            if self._modulo_two and any(v not in (0, 1) for row in x for v in row):
+                raise ValueError(f"block {name} must have entries 0/1")
+        a, b, c, d = blocks
+        self._set_matrix(_exact([p + q for p, q in zip(a + c, b + d)]))
 
-    def __post_init__(self):
-        g = self.genus
-        for name in ("a", "b", "c", "d"):
-            m = _as_matrix(getattr(self, name))
-            if len(m) != g or any(len(row) != g for row in m):
-                raise ValueError(f"block {name.upper()} must be {g}x{g}")
-            if self._reduce(m) != m:
-                raise ValueError(f"block {name.upper()} must have entries 0/1")
-            object.__setattr__(self, name, m)
-        at, bt, ct = _transpose(self.a), _transpose(self.b), _transpose(self.c)
-        where = " mod 2" if self._modulo_two else ""
-        if self._reduce(_add(_matmul(at, self.d), _neg(_matmul(ct, self.b)))) != _identity(g):
-            raise ValueError(f"not symplectic{where}: A^T D - C^T B != 1")
-        if not (_is_symmetric(self._reduce(_matmul(at, self.c)))
-                and _is_symmetric(self._reduce(_matmul(bt, self.d)))):
-            raise ValueError(f"not symplectic{where}: A^T C or B^T D not symmetric")
+    @classmethod
+    def _of(cls, matrix: np.ndarray):
+        """The element with this matrix, reduced mod 2 for SymplecticModTwo."""
+        out = object.__new__(cls)
+        out._set_matrix(matrix % 2 if cls._modulo_two else matrix)
+        return out
+
+    def _set_matrix(self, m: np.ndarray) -> None:
+        g, j = len(m) // 2, _form(len(m) // 2)
+        residual = m.T @ j @ m - j
+        if (residual % 2 if self._modulo_two else residual).any():
+            raise ValueError(f"not symplectic{' mod 2' if self._modulo_two else ''}: M^T J M != J")
+        m.flags.writeable = False
+        self.__dict__.update(genus=g, matrix=m)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
     def identity(cls, g: int):
-        return cls(g, _identity(g), _zero(g), _zero(g), _identity(g))
+        return cls._of(_exact(np.identity(2 * g, dtype=int)))
 
     def __matmul__(self, other):
         if self.genus != other.genus:
             raise ValueError("genus mismatch")
-        product = _block_product(self._blocks, other._blocks)
-        return type(self)(self.genus, *map(self._reduce, product))
+        return self._of(self.matrix @ other.matrix)
 
     def inverse(self):
-        return type(self)(self.genus, *map(self._reduce, _block_inverse(self._blocks)))
+        """-J M^T J = [[D^T, -B^T], [-C^T, A^T]]."""
+        j = _form(self.genus)
+        return self._of(-(j @ self.matrix.T @ j))
 
-    @property
-    def _blocks(self) -> tuple[Matrix, Matrix, Matrix, Matrix]:
-        return self.a, self.b, self.c, self.d
+    def _block(self, i: int, j: int) -> Matrix:
+        g = self.genus
+        return _as_matrix(self.matrix[i * g:(i + 1) * g, j * g:(j + 1) * g])
+
+    a = property(lambda self: self._block(0, 0))
+    b = property(lambda self: self._block(0, 1))
+    c = property(lambda self: self._block(1, 0))
+    d = property(lambda self: self._block(1, 1))
+
+    def __eq__(self, other):
+        return type(other) is type(self) and bool(np.array_equal(self.matrix, other.matrix))
+
+    def __hash__(self):
+        return hash(tuple(self.matrix.flat))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.genus}, {self.a}, {self.b}, {self.c}, {self.d})"
 
     def to_json(self) -> dict:
-        return {
-            "A": [list(r) for r in self.a],
-            "B": [list(r) for r in self.b],
-            "C": [list(r) for r in self.c],
-            "D": [list(r) for r in self.d],
-        }
+        return {name: [list(r) for r in getattr(self, name.lower())] for name in "ABCD"}
 
     @classmethod
     def from_json(cls, obj: dict):
-        a = _as_matrix(obj["A"])
-        return cls(len(a), a, _as_matrix(obj["B"]), _as_matrix(obj["C"]), _as_matrix(obj["D"]))
+        return cls(len(obj["A"]), obj["A"], obj["B"], obj["C"], obj["D"])
 
 
-class SymplecticInteger(_Blocks):
-    """An element of Sp(2g, Z) as exact integer blocks [[A, B], [C, D]]."""
+class SymplecticInteger(_Element):
+    """An element of Sp(2g, Z) as one exact integer matrix [[A, B], [C, D]]."""
 
     def mod_two(self) -> "SymplecticModTwo":
-        return SymplecticModTwo(self.genus, *map(_mod2, (self.a, self.b, self.c, self.d)))
+        return SymplecticModTwo._of(self.matrix)
 
 
-class SymplecticModTwo(_Blocks):
-    """An element of Sp(2g, F2) as bit-matrix blocks."""
+class SymplecticModTwo(_Element):
+    """An element of Sp(2g, F2) as one 0/1 matrix [[A, B], [C, D]]."""
 
     _modulo_two = True
 
     @cached_property
     def _affine(self) -> tuple[tuple[int, ...], int]:
-        """The affine action on codes: the rows of [[D, C], [B, A]] and the
-        shift [diag(C D^T); diag(A B^T)], each packed as a code."""
-        g = self.genus
-        a, b, c, d = self.a, self.b, self.c, self.d
-        rows = [Characteristic(g, d[i], c[i]).code for i in range(g)]
-        rows += [Characteristic(g, b[i], a[i]).code for i in range(g)]
-
-        def diag(x, y):  # diag(x y^T)
-            return [sum(p * q for p, q in zip(x[i], y[i])) % 2 for i in range(g)]
-
-        return tuple(rows), Characteristic(g, diag(c, d), diag(a, b)).code
+        """The affine action on codes: the rows of [[D, C], [B, A]] (M with
+        both halves swapped) and the shift [diag(C D^T); diag(A B^T)], each
+        packed as a code."""
+        g, m = self.genus, self.matrix
+        shift = np.roll((m[:, :g] * m[:, g:]).sum(axis=1) % 2, g)
+        return tuple(bits_code(row) for row in np.roll(m, g, axis=(0, 1))), bits_code(shift)
 
 
 def standard_generators(g: int) -> list[SymplecticInteger]:
@@ -209,13 +177,12 @@ def standard_generators(g: int) -> list[SymplecticInteger]:
 def _generators(g: int) -> tuple[SymplecticInteger, ...]:
     if g < 1:
         raise ValueError(f"genus must be >= 1, got {g}")
-    one, zero = _identity(g), _zero(g)
-    gens = [SymplecticInteger(g, zero, one, _neg(one), zero)]
+    gens = [SymplecticInteger._of(_form(g))]
     sym_elems = [(i, i) for i in range(g)] + [(i, j) for i in range(g) for j in range(i + 1, g)]
     for i, j in sym_elems:
-        s = [[0] * g for _ in range(g)]
-        s[i][j] = s[j][i] = 1
-        gens.append(SymplecticInteger(g, one, _as_matrix(s), zero, one))
+        m = np.identity(2 * g, dtype=int)
+        m[i, g + j] = m[j, g + i] = 1
+        gens.append(SymplecticInteger._of(_exact(m)))
     return tuple(gens)
 
 
@@ -334,16 +301,14 @@ def orbit_bfs(tup: CharTuple) -> set[CharTuple]:
 
 def random_symplectic(g: int, word_length: int, seed: int) -> SymplecticInteger:
     """Product of word_length generators or generator inverses drawn by a
-    seeded PRNG; deterministic per (g, word_length, seed).  The letters
-    are folded unchecked; the product is checked once, when it is built."""
+    seeded PRNG; deterministic per (g, word_length, seed)."""
     if word_length < 1:
         raise ValueError(f"word_length must be >= 1, got {word_length}")
     rng = random.Random(seed)
-    gens = _generators(g)
     out = None
     for _ in range(word_length):
-        letter = rng.choice(gens)._blocks
+        letter = rng.choice(_generators(g))
         if rng.random() < 0.5:
-            letter = _block_inverse(letter)
-        out = letter if out is None else _block_product(out, letter)
-    return SymplecticInteger(g, *out)
+            letter = letter.inverse()
+        out = letter if out is None else out @ letter
+    return out

@@ -7,6 +7,7 @@ shares no code with the package's evaluation paths.
 import cmath
 import itertools
 import math
+import random
 from functools import cache
 from types import SimpleNamespace
 
@@ -117,18 +118,77 @@ def odd_on_some_block_count(parts):
     return count
 
 
-def _mod2_generators(g):
-    """(A, B, C, D) mod 2 of the standard generators of Sp(2g, Z): the
-    inversion [[0, 1], [-1, 0]] and the translations [[1, S], [0, 1]] over
-    the elementary symmetric S (e_ii, and e_ij + e_ji for i < j)."""
+def integer_generators(g):
+    """(A, B, C, D) of the standard generators of Sp(2g, Z), as lists of
+    lists, in standard_generators' order: the inversion [[0, 1], [-1, 0]],
+    then the translations [[1, S], [0, 1]] over S = e_ii, then
+    S = e_ij + e_ji for i < j."""
     one = [[int(i == j) for j in range(g)] for i in range(g)]
     zero = [[0] * g for _ in range(g)]
-    gens = [(zero, one, one, zero)]
-    for i in range(g):
-        for j in range(i, g):
-            s = [[int((r, c) in ((i, j), (j, i))) for c in range(g)] for r in range(g)]
-            gens.append((one, s, zero, one))
+    gens = [(zero, one, _neg(one), zero)]
+    pairs = [(i, i) for i in range(g)] + [(i, j) for i in range(g) for j in range(i + 1, g)]
+    for i, j in pairs:
+        s = [[int((r, c) in ((i, j), (j, i))) for c in range(g)] for r in range(g)]
+        gens.append((one, s, zero, one))
     return gens
+
+
+def _mod2_generators(g):
+    """integer_generators(g) with every entry reduced mod 2."""
+    return [tuple([[x % 2 for x in row] for row in m] for m in gen) for gen in integer_generators(g)]
+
+
+def _mul(x, y):
+    return [[sum(p * q for p, q in zip(row, col)) for col in zip(*y)] for row in x]
+
+
+def _plus(x, y):
+    return [[p + q for p, q in zip(rx, ry)] for rx, ry in zip(x, y)]
+
+
+def _neg(x):
+    return [[-v for v in row] for row in x]
+
+
+def _t(x):
+    return [list(col) for col in zip(*x)]
+
+
+def block_product(x, y):
+    """[[A, B], [C, D]] [[A', B'], [C', D']] on (A, B, C, D) block lists."""
+    a, b, c, d = x
+    p, q, r, s = y
+    return (_plus(_mul(a, p), _mul(b, r)), _plus(_mul(a, q), _mul(b, s)),
+            _plus(_mul(c, p), _mul(d, r)), _plus(_mul(c, q), _mul(d, s)))
+
+
+def block_inverse(x):
+    """The symplectic inverse [[D^T, -B^T], [-C^T, A^T]]."""
+    a, b, c, d = x
+    return _t(d), _neg(_t(b)), _neg(_t(c)), _t(a)
+
+
+def is_symplectic(x):
+    """A^T D - C^T B = 1 with A^T C and B^T D symmetric."""
+    a, b, c, d = x
+    one = [[int(i == j) for j in range(len(a))] for i in range(len(a))]
+    at_c, bt_d = _mul(_t(a), c), _mul(_t(b), d)
+    return _plus(_mul(_t(a), d), _neg(_mul(_t(c), b))) == one and at_c == _t(at_c) and bt_d == _t(bt_d)
+
+
+def word_fold(g, word_length, seed):
+    """The blocks of random_symplectic(g, word_length, seed) from the same
+    random.Random(seed) draws: per letter a generator by rng.choice, then
+    its inverse when rng.random() < 0.5, folded left to right."""
+    rng = random.Random(seed)
+    gens = integer_generators(g)
+    out = None
+    for _ in range(word_length):
+        letter = rng.choice(gens)
+        if rng.random() < 0.5:
+            letter = block_inverse(letter)
+        out = letter if out is None else block_product(out, letter)
+    return out
 
 
 def affine_image(gen, eps, delta):

@@ -187,7 +187,7 @@ def test_criterion_7_classifier_end_to_end():
     hyp = classify_from_pattern(True, [evens[0], evens[1]])
     cases.append(("pattern Hyp4", hyp.label, "X3"))
     conj = act_on_tuple(random_symplectic(4, 4, 770).mod_two(), product_split_tuple(4, 1))
-    prod = classify_from_pattern(True, list(conj), {"genus3_hyperelliptic": False})
+    prod = classify_from_pattern(True, list(conj))
     cases.append(("pattern A1x(A3-Hyp3)", prod.label, "X3"))
 
     failures = [(name, got, want) for name, got, want in cases if got != want]

@@ -456,13 +456,16 @@ class TestClassifyFromPattern:
         assert not any(w.found for w in rep.splits)
 
     def test_product_branch_with_flags(self):
+        # the elliptic x threefold branch is settled by the count: I_1's 28
+        # for a non-hyperelliptic genus-3 factor, 31 for a hyperelliptic
+        # one, whose one vanishing genus-3 even joins each genus-1 even
         conj = act_on_tuple(random_symplectic(4, 4, 99).mod_two(), product_split_tuple(4, 1))
-        rep = classify_from_pattern(True, list(conj), {"genus3_hyperelliptic": False})
-        assert rep.label == "X3"
-        rep4 = classify_from_pattern(True, list(conj), {"genus3_hyperelliptic": True})
-        assert rep4.label == "X4"
-        # without the flag the 28-element set resolves by its size
         assert classify_from_pattern(True, list(conj)).label == "X3"
+        hyp3 = all_characteristics(3, "even")[0]
+        extra = [concat(e, hyp3) for e in all_characteristics(1, "even")]
+        rep = classify_from_pattern(True, list(product_split_tuple(4, 1)) + extra)
+        assert len(rep.vanishing) == 31
+        assert rep.label == "X4"
 
     def test_full_split_pattern(self):
         members = [
@@ -495,7 +498,6 @@ class TestClassifyFromPattern:
             "X2": (True, evens[:1]),
             "hyperelliptic X3": (True, evens[:2]),
             "28-set": (True, conj),
-            "28-set, flagged": (True, conj, {"genus3_hyperelliptic": True}),
             "55-set": (True, full),
             "30-set": (True, conj + [m for m in evens if m not in conj][:2]),
         }
@@ -508,7 +510,7 @@ class TestClassifyFromPattern:
             assert not rep.notes[1].startswith("synthetic pattern:")
         assert labels == {
             "X0": "X0", "X1": "X1", "X2": "X2", "hyperelliptic X3": "X3", "28-set": "X3",
-            "28-set, flagged": "X4", "55-set": "X6", "30-set": "UNRESOLVED",
+            "55-set": "X6", "30-set": "UNRESOLVED",
         }
 
     def test_agrees_with_classify(self, block_13, block_22, block_112):

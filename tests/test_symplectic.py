@@ -18,6 +18,8 @@ from thetastrata.symplectic import (
     tuples_equivalent,
 )
 
+from oracles import block_inverse, block_product, integer_generators, is_symplectic, word_fold
+
 
 def single(s):
     m = Characteristic.from_string(s)
@@ -268,6 +270,40 @@ def test_random_symplectic_equals_checked_fold(word_length):
                 letter = letter.inverse()
             expected = letter if expected is None else expected @ letter
         assert random_symplectic(4, word_length, seed) == expected
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_random_symplectic_equals_oracle_fold(g):
+    # a plain-Python fold of the same draws, sharing no arithmetic with
+    # the package
+    assert [[gen.a, gen.b, gen.c, gen.d] for gen in standard_generators(g)] == [
+        [tuple(map(tuple, m)) for m in gen] for gen in integer_generators(g)
+    ]
+    for word_length in (1, 2, 3, 4, 5, 6, 12, 30):
+        for seed in range(20):
+            expected = word_fold(g, word_length, seed)
+            assert is_symplectic(expected)
+            gamma = random_symplectic(g, word_length, seed)
+            assert gamma.to_json() == dict(zip("ABCD", expected))
+
+
+def test_long_products_stay_exact():
+    # T J^-1 T^-1 J acts as [[2, 1], [1, 1]] on the first coordinate pair,
+    # so the entries of its n-th power grow like 2.618^n and pass 2^63 at
+    # n = 46; an int64 shortcut would wrap
+    jay, t = standard_generators(4)[:2]
+    word = t @ jay.inverse() @ t.inverse() @ jay
+    j_blocks, t_blocks = integer_generators(4)[:2]
+    letters = [t_blocks, block_inverse(j_blocks), block_inverse(t_blocks), j_blocks]
+    blocks = letters[0]
+    for letter in letters[1:]:
+        blocks = block_product(blocks, letter)
+    power, expected = word, blocks
+    for _ in range(49):
+        power, expected = power @ word, block_product(expected, blocks)
+    assert power.to_json() == dict(zip("ABCD", expected))
+    assert is_symplectic(expected)
+    assert max(abs(x) for m in expected for row in m for x in row) > 2**63
 
 
 def test_json_round_trip():
