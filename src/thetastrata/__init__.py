@@ -29,10 +29,7 @@ from .errors import CapExceededError
 from .forms import (
     FormValue,
     evaluate_forms,
-    f1_form,
     form_weight,
-    schottky_form,
-    theta_null_product,
     transformation_residual,
 )
 from .symplectic import (

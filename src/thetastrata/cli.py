@@ -14,7 +14,7 @@ import sys
 from .chars import Characteristic, CharTuple, all_characteristics, product_split_tuple
 from .classify import classify
 from .errors import CapExceededError
-from .forms import evaluate_forms
+from .forms import FORM_IDS, evaluate_forms
 from .symplectic import orbit_bfs, tuples_equivalent
 from .theta import point_from_json, theta_constant
 from .verify import (
@@ -140,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="evaluate a stratifying form or a theta constant")
     p_eval.add_argument("mode", nargs="?", choices=["theta"], default=None)
-    p_eval.add_argument("--form", choices=["FT", "THETANULL", "F1"], default=None)
+    p_eval.add_argument("--form", choices=FORM_IDS, default=None)
     p_eval.add_argument("--char", default=None)
     p_eval.add_argument("--tau", required=True, help="JSON file {genus, tau: [[[re,im],..],..]}")
     p_eval.add_argument("--target", type=float, default=1e-10)

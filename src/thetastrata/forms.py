@@ -16,11 +16,15 @@ F_1 is evaluated as the sum of exclusion products, never by dividing
 Theta_null^8 by theta_m^8, so it stays well defined on the vanishing loci
 the stratification cares about.
 
-All three are computed from theta constants rescaled by their root mean
-square s = sqrt(mean |theta_m|^2) > 0, which keeps the arithmetic in
-range; `value` and `normalizer` are reported on the raw scale and may
-under- or overflow double precision for the high-degree forms (F_1 has
-degree 8(|E|-1) = 1080 at genus 4), so log-scale companions carry the
+All three are built by one rule from theta constants rescaled by their
+root mean square s = sqrt(mean |theta_m|^2) > 0, which keeps the
+arithmetic in range.  A form of theta degree d (16, |E| and 8(|E|-1)
+respectively; its modular weight is d/2) is known on the rescaled
+constants by its log-modulus, phase and log-normalizer; the raw-scale
+log_abs and log_normalizer add d log s, and `value`, `normalizer` and
+`relative_magnitude` are their exponentials.  The raw fields leave double
+range for the high-degree forms (F_1 has degree 1080 at genus 4) and then
+read inf or 0, never a clamped number; the log-scale companions carry the
 exact magnitudes.  `relative_magnitude` is the stable vanishing
 diagnostic:
 
@@ -31,7 +35,9 @@ diagnostic:
 
 from __future__ import annotations
 
+import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,9 +49,6 @@ from .theta import SiegelPoint, even_theta_constants, siegel_action, theta_const
 __all__ = [
     "FormValue",
     "FORM_IDS",
-    "schottky_form",
-    "theta_null_product",
-    "f1_form",
     "evaluate_forms",
     "form_weight",
     "transformation_residual",
@@ -54,6 +57,7 @@ __all__ = [
 FORM_IDS = ("FT", "THETANULL", "F1")
 FORM_GENUS_CAP = 6
 _RESIDUAL_FLOOR = 1e-12
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)  # the largest x with a finite e^x
 
 
 @dataclass(frozen=True)
@@ -61,8 +65,8 @@ class FormValue:
     """A form evaluation with its vanishing diagnostics.
 
     log_abs and log_normalizer are natural logs of |value| and normalizer;
-    they remain finite (or -inf for an exact zero) even where the raw
-    floats under- or overflow.
+    they remain finite (or -inf for an exact zero) where the raw floats
+    under- or overflow to 0 or inf.
     """
 
     form_id: str
@@ -73,65 +77,47 @@ class FormValue:
     log_normalizer: float
 
 
-def _safe_exp_complex(log_mag: float, phase: complex) -> complex:
-    if log_mag == -math.inf:
-        return 0j
-    if log_mag > 709:
-        return complex(math.inf, 0)
-    return math.exp(log_mag) * phase
+def _degrees(g: int) -> dict[str, int]:
+    """Theta factors in each term of each form at genus g."""
+    n = even_count(g)
+    return {"FT": 16, "THETANULL": n, "F1": 8 * (n - 1)}
 
 
-def _rescaled_constants(point: SiegelPoint, target: float, constants=None):
-    if constants is None:
-        constants = even_theta_constants(point, target)
-    values = np.array([tv.value for tv in constants.values()])
-    s = math.sqrt(float((np.abs(values) ** 2).mean()))
-    return values / s, s
-
-
-def _check_genus(point: SiegelPoint):
-    if point.genus > FORM_GENUS_CAP:
-        raise ValueError(f"forms are capped at genus {FORM_GENUS_CAP}, got {point.genus}")
+def _form_value(form_id: str, log_abs_hat: float, arg: float, log_normalizer_hat: float,
+                degree: int, log_s: float) -> FormValue:
+    """The raw-scale form of the given theta degree from its log-modulus,
+    phase angle and log-normalizer on the rescaled constants."""
+    log_abs = log_abs_hat + degree * log_s
+    log_normalizer = log_normalizer_hat + degree * log_s
+    magnitude, normalizer = (
+        math.exp(x) if x <= _LOG_FLOAT_MAX else math.inf for x in (log_abs, log_normalizer)
+    )
+    return FormValue(
+        form_id,
+        cmath.rect(magnitude, arg) if magnitude else 0j,
+        normalizer,
+        math.exp(log_abs_hat - log_normalizer_hat),
+        log_abs,
+        log_normalizer,
+    )
 
 
 def evaluate_forms(point: SiegelPoint, target: float = 1e-10, constants=None) -> dict[str, FormValue]:
     """All three stratifying forms from one shared theta-constant pass;
     `constants` may carry a precomputed even_theta_constants result."""
-    _check_genus(point)
     g = point.genus
-    n = even_count(g)
-    t, s = _rescaled_constants(point, target, constants)
-    log_s = math.log(s)
-    out = {}
-
+    if g > FORM_GENUS_CAP:
+        raise ValueError(f"forms are capped at genus {FORM_GENUS_CAP}, got {g}")
+    if constants is None:
+        constants = even_theta_constants(point, target)
+    values = np.array([tv.value for tv in constants.values()])
+    s = math.sqrt(float((np.abs(values) ** 2).mean()))
+    t = values / s
+    n = len(t)
     t8 = t**8
     t16 = t8**2
-    f_hat = (2**g) * t16.sum() - t8.sum() ** 2
-    n_hat = float(np.abs(t16).sum() + np.abs(t8).sum() ** 2)
-    log_abs = (math.log(float(abs(f_hat))) if f_hat != 0 else -math.inf) + 16 * log_s
-    out["FT"] = FormValue(
-        "FT",
-        complex(f_hat * s**16),
-        n_hat * s**16,
-        float(abs(f_hat)) / n_hat,
-        log_abs,
-        math.log(n_hat) + 16 * log_s,
-    )
-
-    with np.errstate(divide="ignore"):
-        log_t = np.log(np.abs(t))
-    log_prod = float(log_t.sum())
-    rel = math.exp(log_prod) if log_prod > -708 else 0.0
-    prod_hat = np.prod(t)
-    phase = prod_hat / abs(prod_hat) if prod_hat != 0 else 1.0
-    out["THETANULL"] = FormValue(
-        "THETANULL",
-        _safe_exp_complex(log_prod + n * log_s, phase),
-        math.exp(min(n * log_s, 709.0)),
-        rel,
-        log_prod + n * log_s,
-        n * log_s,
-    )
+    f_hat = complex((2**g) * t16.sum() - t8.sum() ** 2)
+    ft_normalizer_hat = float(np.abs(t16).sum() + np.abs(t8).sum() ** 2)
 
     # Exclusion products prod_{n != m} t8_n without division.  Each one is
     # bounded by e^4 in modulus (AM-GM on the unit-RMS t), but partial
@@ -146,54 +132,30 @@ def evaluate_forms(point: SiegelPoint, target: float = 1e-10, constants=None) ->
     else:
         logs = np.log(t8.astype(complex))
         f1_hat = complex(np.exp(logs.sum() - logs).sum())
-    log_scale = 8 * (n - 1) * log_s
-    log_abs = (math.log(abs(f1_hat)) if f1_hat != 0 else -math.inf) + log_scale
-    phase = f1_hat / abs(f1_hat) if f1_hat != 0 else 1.0
-    out["F1"] = FormValue(
-        "F1",
-        _safe_exp_complex(log_abs, phase),
-        math.exp(min(math.log(n) + log_scale, 709.0)),
-        abs(f1_hat) / n,
-        log_abs,
-        math.log(n) + log_scale,
-    )
-    return out
 
-
-def schottky_form(point: SiegelPoint, target: float = 1e-10) -> FormValue:
-    """2^g sum theta^16 - (sum theta^8)^2; its vanishing locus at genus 4
-    is the closure of the Jacobian locus, and the form is identically zero
-    for genus <= 3.  It has weight 8:
-    |F_T(gamma o tau)| = |det(C tau + D)|^8 |F_T(tau)|."""
-    return evaluate_forms(point, target)["FT"]
-
-
-def theta_null_product(point: SiegelPoint, target: float = 1e-10) -> FormValue:
-    """Product of all even theta constants."""
-    return evaluate_forms(point, target)["THETANULL"]
-
-
-def f1_form(point: SiegelPoint, target: float = 1e-10) -> FormValue:
-    """sum_m prod_{n != m} theta_n^8, the division-free form of
-    sum_m Theta_null^8 / theta_m^8."""
-    return evaluate_forms(point, target)["F1"]
+    # Theta_null stays in log space: the product of |E| factors under- or
+    # overflows long before its logarithm does, so its phase is the
+    # product of the factors' unit phases (nan if some factor is 0, where
+    # the value is 0j and the phase is never read).
+    abs_t = np.abs(t)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        hats = {
+            "FT": (float(np.log(abs(f_hat))), cmath.phase(f_hat), math.log(ft_normalizer_hat)),
+            "THETANULL": (float(np.log(abs_t).sum()), cmath.phase(np.prod(t / abs_t)), 0.0),
+            "F1": (float(np.log(abs(f1_hat))), cmath.phase(f1_hat), math.log(n)),
+        }
+    degrees = _degrees(g)
+    log_s = math.log(s)
+    return {fid: _form_value(fid, *hats[fid], degrees[fid], log_s) for fid in FORM_IDS}
 
 
 def form_weight(form_id: str, g: int) -> int:
-    """Modular weight, derived as (theta factors per term) / 2 after
-    checking every term carries the same factor count."""
-    n = even_count(g)
-    factor_counts = {
-        "FT": (16, 16),  # theta^16 terms and the squared theta^8 sum
-        "THETANULL": (n,),
-        "F1": (8 * (n - 1),),
-    }[form_id]
-    count = factor_counts[0]
-    if any(c != count for c in factor_counts):
-        raise AssertionError(f"inconsistent factor counts for {form_id}: {factor_counts}")
-    if count % 2:
-        raise AssertionError(f"odd factor count {count} has no integer weight")
-    return count // 2
+    """Modular weight: half the form's theta degree at genus g.  Raises
+    ValueError where the degree is odd (Theta_null at genus 1)."""
+    degree = _degrees(g)[form_id]
+    if degree % 2:
+        raise ValueError(f"{form_id} has odd theta degree {degree} at genus {g}: no integer weight")
+    return degree // 2
 
 
 def transformation_residual(

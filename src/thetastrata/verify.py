@@ -12,7 +12,7 @@ import itertools
 import numpy as np
 
 from .chars import CharTuple, all_characteristics
-from .forms import schottky_form, transformation_residual
+from .forms import evaluate_forms, transformation_residual
 from .symplectic import orbit_bfs, orbit_profile, random_symplectic, standard_generators
 from .theta import (
     block_diag,
@@ -145,7 +145,7 @@ def schottky_degeneration_check(g: int, seed: int, count: int = 20) -> dict:
     report = {"genus": g, "seed": seed, "ok": True}
     if g <= 3:
         rels = [
-            schottky_form(random_siegel_point(g, rng)).relative_magnitude for _ in range(count)
+            evaluate_forms(random_siegel_point(g, rng))["FT"].relative_magnitude for _ in range(count)
         ]
         report["max_relative_magnitude"] = float(max(rels))
         report["threshold"] = SCHOTTKY_VANISH_TOL
@@ -154,16 +154,16 @@ def schottky_degeneration_check(g: int, seed: int, count: int = 20) -> dict:
     if g != 4:
         raise ValueError("schottky degeneration check is defined for genus <= 4")
     generic = [
-        schottky_form(generic_siegel_point(4, int(rng.integers(0, 2**31)))).relative_magnitude
+        evaluate_forms(generic_siegel_point(4, int(rng.integers(0, 2**31))))["FT"].relative_magnitude
         for _ in range(count)
     ]
-    vanishing = [schottky_form(validate_siegel(1j * np.eye(4))).relative_magnitude]
+    vanishing = [evaluate_forms(validate_siegel(1j * np.eye(4)))["FT"].relative_magnitude]
     for _ in range(5):
         blocks = [random_siegel_point(1, rng) for _ in range(4)]
         point = blocks[0]
         for q in blocks[1:]:
             point = block_diag(point, q)
-        vanishing.append(schottky_form(point).relative_magnitude)
+        vanishing.append(evaluate_forms(point)["FT"].relative_magnitude)
     report["min_generic"] = float(min(generic))
     report["generic_floor"] = SCHOTTKY_GENERIC_FLOOR
     report["max_block"] = float(max(vanishing))

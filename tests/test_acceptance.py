@@ -12,7 +12,7 @@ import pytest
 
 from thetastrata.chars import all_characteristics, n_k, parity, product_split_tuple, split
 from thetastrata.classify import classify, classify_from_pattern, detect_split, vanishing_set
-from thetastrata.forms import evaluate_forms, schottky_form
+from thetastrata.forms import evaluate_forms
 from thetastrata.symplectic import act_on_tuple, random_symplectic
 from thetastrata.theta import (
     block_diag,
@@ -215,8 +215,8 @@ def test_criterion_8_invariance_spot_check():
         c = np.array(gamma.c, dtype=complex)
         d = np.array(gamma.d, dtype=complex)
         logdet = float(np.linalg.slogdet(c @ point.tau + d)[1])
-        before = schottky_form(point, 1e-12)
-        after = schottky_form(siegel_action(gamma, point), 1e-12)
+        before = evaluate_forms(point, 1e-12)["FT"]
+        after = evaluate_forms(siegel_action(gamma, point), 1e-12)["FT"]
         delta = after.log_abs - 8 * logdet - before.log_abs
         ok &= abs(math.expm1(delta)) < 1e-7
         max_logdet = max(max_logdet, abs(logdet))

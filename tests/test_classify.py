@@ -15,6 +15,7 @@ from thetastrata.chars import (
     split,
 )
 from thetastrata.classify import (
+    THETA_TARGET,
     _LABELS,
     _plane_table,
     classify,
@@ -25,6 +26,7 @@ from thetastrata.classify import (
 from thetastrata.symplectic import act_on_tuple, random_symplectic, tuples_equivalent
 from thetastrata.theta import (
     block_diag,
+    even_theta_constants,
     generic_siegel_point,
     point_to_json,
     random_siegel_point,
@@ -85,6 +87,14 @@ class TestVanishingSet:
                 expected.add(m)
         assert set(rep.members) == expected
         assert len(expected) == 55
+
+    def test_precomputed_constants_give_the_same_set(self, block_13):
+        # classify sums the constants once and hands them to vanishing_set
+        for point in (generic_siegel_point(4, 200), block_13):
+            constants = even_theta_constants(point, THETA_TARGET)
+            for threshold in (1e-6, 1e-3):
+                shared = vanishing_set(point, threshold, constants=constants)
+                assert shared == vanishing_set(point, threshold)
 
     def test_margin_warning_fires_for_adversarial_threshold(self):
         p = generic_siegel_point(4, 201)

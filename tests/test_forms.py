@@ -5,14 +5,7 @@ import numpy as np
 import pytest
 
 from thetastrata.chars import Characteristic, all_characteristics, even_count
-from thetastrata.forms import (
-    evaluate_forms,
-    f1_form,
-    form_weight,
-    schottky_form,
-    theta_null_product,
-    transformation_residual,
-)
+from thetastrata.forms import FORM_IDS, evaluate_forms, form_weight, transformation_residual
 from thetastrata.symplectic import (
     SymplecticInteger,
     affine_action,
@@ -43,7 +36,7 @@ class TestSchottky:
     def test_identically_zero_through_genus_three(self, g):
         rng = np.random.default_rng(g)
         for _ in range(5):
-            fv = schottky_form(random_siegel_point(g, rng))
+            fv = evaluate_forms(random_siegel_point(g, rng))["FT"]
             assert fv.relative_magnitude < 1e-10
 
     def test_jacobi_quartic_identity_underlies_genus_one(self):
@@ -54,13 +47,13 @@ class TestSchottky:
         assert abs(t3**4 - t2**4 - t4**4) < 1e-20
 
     def test_vanishes_at_four_elliptic_points(self):
-        assert schottky_form(validate_siegel(1j * np.eye(4))).relative_magnitude < 1e-8
+        assert evaluate_forms(validate_siegel(1j * np.eye(4)))["FT"].relative_magnitude < 1e-8
         for seed in range(3):
-            assert schottky_form(four_elliptic_block(seed)).relative_magnitude < 1e-8
+            assert evaluate_forms(four_elliptic_block(seed))["FT"].relative_magnitude < 1e-8
 
     def test_survives_at_generic_points(self):
         for seed in range(6):
-            fv = schottky_form(generic_siegel_point(4, seed))
+            fv = evaluate_forms(generic_siegel_point(4, seed))["FT"]
             assert fv.relative_magnitude > 1e-4
 
     def test_normalizer_formula(self):
@@ -68,28 +61,28 @@ class TestSchottky:
         consts = even_theta_constants(p, 1e-10)
         mags = np.abs([tv.value for tv in consts.values()])
         expected = (mags**16).sum() + (mags**8).sum() ** 2
-        fv = schottky_form(p)
+        fv = evaluate_forms(p)["FT"]
         assert fv.normalizer == pytest.approx(expected, rel=1e-12)
 
     def test_genus_cap(self):
         with pytest.raises(ValueError, match="genus"):
-            schottky_form(validate_siegel(1j * np.eye(7)))
+            evaluate_forms(validate_siegel(1j * np.eye(7)))["FT"]
 
 
 class TestThetaNull:
     def test_vanishes_on_split(self):
-        fv = theta_null_product(validate_siegel(np.diag([1j, 1j])))
+        fv = evaluate_forms(validate_siegel(np.diag([1j, 1j])))["THETANULL"]
         assert fv.relative_magnitude < 1e-8
 
     @pytest.mark.parametrize("g,k", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3)])
     def test_vanishes_on_every_block_split(self, g, k):
         rng = np.random.default_rng(10 * g + k)
         blk = block_diag(random_siegel_point(k, rng), random_siegel_point(g - k, rng))
-        assert theta_null_product(blk).relative_magnitude < 1e-8
+        assert evaluate_forms(blk)["THETANULL"].relative_magnitude < 1e-8
 
     def test_genus_one_value_against_factors(self):
         p = validate_siegel([[1j]])
-        fv = theta_null_product(p)
+        fv = evaluate_forms(p)["THETANULL"]
         prod = 1.0
         for m in all_characteristics(1, "even"):
             prod *= theta_constant(m, p, 1e-12).value
@@ -101,7 +94,7 @@ class TestThetaNull:
         consts = even_theta_constants(p, 1e-10)
         mags = np.abs([tv.value for tv in consts.values()])
         expected = float((mags**2).mean()) ** (len(mags) / 2)
-        fv = theta_null_product(p)
+        fv = evaluate_forms(p)["THETANULL"]
         assert fv.normalizer == pytest.approx(expected, rel=1e-12)
 
     def test_generic_genus_four_nonzero_and_separated(self):
@@ -109,22 +102,22 @@ class TestThetaNull:
         # product of 136 dispersed factors tiny even when genuinely
         # nonzero, so "nonzero" is asserted through the log magnitude and
         # through separation from points with true vanishing constants.
-        generic = theta_null_product(generic_siegel_point(4, 8))
+        generic = evaluate_forms(generic_siegel_point(4, 8))["THETANULL"]
         assert math.isfinite(generic.log_abs)
         assert generic.relative_magnitude > 0
-        vanishing = theta_null_product(four_elliptic_block(4))
+        vanishing = evaluate_forms(four_elliptic_block(4))["THETANULL"]
         assert vanishing.relative_magnitude < 1e-30 * generic.relative_magnitude
 
 
 class TestF1:
     def test_single_vanishing_constant_survives(self):
-        fv = f1_form(validate_siegel(np.diag([1j, 1j])))
+        fv = evaluate_forms(validate_siegel(np.diag([1j, 1j])))["F1"]
         assert fv.relative_magnitude > 1e-6
 
     def test_dies_on_one_three_split(self):
         rng = np.random.default_rng(9)
         blk = block_diag(validate_siegel([[1j]]), random_siegel_point(3, rng))
-        assert f1_form(blk).relative_magnitude < 1e-8
+        assert evaluate_forms(blk)["F1"].relative_magnitude < 1e-8
 
     def test_matches_division_formula_where_safe(self):
         for g, seed in ((1, 1), (2, 2), (3, 3)):
@@ -136,7 +129,7 @@ class TestF1:
             s = math.sqrt(float((np.abs(vals) ** 2).mean()))
             t8 = (vals / s) ** 8
             division = (np.prod(t8) / t8).sum()
-            fv = f1_form(p)
+            fv = evaluate_forms(p)["F1"]
             ours = fv.relative_magnitude * len(vals)
             assert abs(division) == pytest.approx(ours, rel=1e-8)
 
@@ -149,11 +142,63 @@ class TestF1:
         assert np.all(np.abs(terms) > 0)
 
 
+def _field_points():
+    rng = np.random.default_rng(12)
+    points = [generic_siegel_point(4, seed) for seed in (0, 1)]
+    points.append(block_diag(validate_siegel([[1j]]), random_siegel_point(3, rng)))
+    points += [random_siegel_point(g, rng) for g in (1, 2, 3)]
+    return points
+
+
+class TestFieldRelations:
+    @pytest.mark.parametrize("point", _field_points(), ids=["g4-0", "g4-1", "1+3", "g1", "g2", "g3"])
+    def test_raw_fields_are_exponentials_of_the_logs(self, point):
+        for fid, fv in evaluate_forms(point).items():
+            assert fv.form_id == fid
+            assert math.isfinite(fv.log_normalizer)
+            assert fv.relative_magnitude == pytest.approx(
+                math.exp(fv.log_abs - fv.log_normalizer), rel=1e-12, abs=0
+            )
+            if abs(fv.log_abs) < 700:
+                assert abs(fv.value) == pytest.approx(math.exp(fv.log_abs), rel=1e-12)
+            if abs(fv.log_normalizer) < 700:
+                assert fv.normalizer == pytest.approx(math.exp(fv.log_normalizer), rel=1e-12)
+
+    def test_normalizer_past_double_range_is_inf(self):
+        # F1 has degree 1080 at genus 4 and s > e at 0.3i * 1_4, so the
+        # normalizer e^{log_normalizer} ~ e^1473 leaves double range
+        fv = evaluate_forms(validate_siegel(0.3j * np.eye(4)))["F1"]
+        assert fv.normalizer == math.inf
+        assert math.isfinite(fv.log_normalizer) and fv.log_normalizer > 1000
+
+    def test_precomputed_constants_give_the_same_forms(self):
+        for point in _field_points():
+            for target in (1e-10, 1e-12):
+                shared = evaluate_forms(point, target, constants=even_theta_constants(point, target))
+                assert shared == evaluate_forms(point, target)
+
+
 class TestWeights:
     def test_weights_from_factor_counts(self):
         assert form_weight("FT", 4) == 8
         assert form_weight("THETANULL", 4) == even_count(4) // 2 == 68
         assert form_weight("F1", 4) == 8 * (even_count(4) - 1) // 2 == 540
+
+    @pytest.mark.parametrize("g", [2, 3])
+    def test_weights_at_lower_genus(self, g):
+        # |E| = 2^{g-1} (2^g + 1) even characteristics: 10 at g = 2, 36 at g = 3
+        evens = 2 ** (g - 1) * (2**g + 1)
+        assert {fid: form_weight(fid, g) for fid in FORM_IDS} == {
+            "FT": 8,
+            "THETANULL": evens // 2,
+            "F1": 4 * (evens - 1),
+        }
+
+    def test_odd_degree_has_no_weight(self):
+        # Theta_null at genus 1 is a product of three constants: weight 3/2
+        with pytest.raises(ValueError, match="odd"):
+            form_weight("THETANULL", 1)
+        assert form_weight("F1", 1) == 8
 
     @pytest.mark.parametrize("fid", ["FT", "THETANULL", "F1"])
     def test_modular_invariance_with_correct_weight(self, fid):
