@@ -36,7 +36,7 @@ evens of genus 4 that are even on the genus-1 block: 31.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
 from math import prod
 from typing import NamedTuple
 
@@ -70,6 +70,7 @@ __all__ = [
 
 MARGIN_FLOOR = 10.0
 THETA_TARGET = 1e-12  # truncation bound of every theta constant classify sums
+_MIX = np.uint64(0x9E3779B97F4A7C15)  # odd; folds a row of uint64 words into one
 
 
 @dataclass(frozen=True)
@@ -99,7 +100,10 @@ def vanishing_set(
 ) -> VanishingSet:
     """Classify each even theta constant as vanishing or surviving at the
     relative threshold; `constants` may carry a precomputed
-    even_theta_constants(point, THETA_TARGET) result."""
+    even_theta_constants(point, THETA_TARGET) result.  A threshold that is
+    not a finite number in (0, 1] raises ValueError."""
+    if not 0 < rel_threshold <= 1:
+        raise ValueError(f"rel_threshold must be a finite number in (0, 1], got {rel_threshold!r}")
     if constants is None:
         constants = even_theta_constants(point, THETA_TARGET)
     mags = {m: abs(tv.value) for m, tv in constants.items()}
@@ -160,13 +164,13 @@ def _split_members(chars, k: int) -> list[Characteristic]:
 
 class _PlaneTable(NamedTuple):
     """The non-degenerate planes P = span(e, f), <e, f> = 1, of F2^2g, one
-    entry each, with I(P) as a mask over the even characteristics: bit i
-    stands for all_characteristics(g, "even")[i]."""
+    row each, with I(P) as a mask over the even characteristics: bit i, for
+    all_characteristics(g, "even")[i], is bit i % 64 of uint64 word i // 64."""
 
     bit: dict[int, int]  # even code -> its mask bit
     e: np.ndarray
     f: np.ndarray
-    masks: tuple[int, ...]  # I(P) = Q[e] & Q[f]
+    masks: np.ndarray  # (planes, words) uint64: I(P) = Q[e] & Q[f]
     pairs: np.ndarray  # pairs[a, b] = <a, b>, over all codes
 
 
@@ -181,28 +185,13 @@ def _plane_table(g: int) -> _PlaneTable:
     # q_m(v) = e(m + v) + e(m) = e(v) + <m, v> for even m; row v of
     # q_table is the mask Q[v] of the m with q_m(v) = 1
     e_v = np.array([code_parity(c, g) for c in range(n)], dtype=bool)
-    q_table = np.packbits(e_v[:, None] ^ pairs[:, evens], axis=1, bitorder="little")
-    q = [int.from_bytes(row.tobytes(), "little") for row in q_table]
+    q_bits = np.pad(e_v[:, None] ^ pairs[:, evens], ((0, 0), (0, -len(evens) % 64)))
+    q_table = np.ascontiguousarray(np.packbits(q_bits, axis=1, bitorder="little")).view("<u8")
     # each plane once: e is the smallest of its three nonzero vectors and
     # f the middle one
     a, b = codes[:, None], codes[None, :]
     e, f = np.nonzero(pairs & (a < b) & ((a ^ b) > b))
-    masks = tuple(q[x] & q[y] for x, y in zip(e.tolist(), f.tolist()))
-    return _PlaneTable({c: i for i, c in enumerate(evens)}, e, f, masks, pairs)
-
-
-def _orthogonal_pair(table: _PlaneTable, ids: list[int]) -> tuple[int, int] | None:
-    """Two mutually orthogonal planes among `ids`, or None."""
-    ids = np.array(ids)
-    e, f = table.e[ids], table.f[ids]
-    pairs, rows = table.pairs, 256  # rows at a time, to bound memory
-    for start in range(0, len(ids), rows):
-        e1, f1 = e[start:start + rows, None], f[start:start + rows, None]
-        meets = pairs[e1, e] | pairs[e1, f] | pairs[f1, e] | pairs[f1, f]
-        i, j = np.nonzero(~meets)
-        if len(i):
-            return int(ids[start + i[0]]), int(ids[j[0]])
-    return None
+    return _PlaneTable({c: i for i, c in enumerate(evens)}, e, f, q_table[e] & q_table[f], pairs)
 
 
 def _symplectic_basis(g: int, pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -236,15 +225,23 @@ def detect_split(chars, k: int) -> SplitWitness:
     """Decide whether the even characteristics `chars` contain an Sp image
     of product_split_tuple(g, k), by the Arf invariants of planes.
 
-    With out the mask of the even characteristics not in `chars` and
-    k' = min(k, g - k): for k' = 1 a split exists iff some plane has
-    I(P) & out == 0; for k' = 2 iff two orthogonal planes share the value
-    I(P) & out, and then I(W) = I(P1) ^ I(P2).  The witness is gamma . I_k
-    for the gamma that sends the standard basis to a symplectic basis
-    extending the found planes; they go first, or last when k' != k,
-    since I(W) = I(W-perp).  `nodes` counts the planes examined: the
-    first fitting plane's index + 1 for k' = 1, every plane otherwise.
-    k' > 2 raises ValueError.
+    keys = masks & out, with out the even characteristics not in `chars`
+    in _PlaneTable's word layout, holds I(P) & out for every plane.  With
+    k' = min(k, g - k): for k' = 1 a split exists iff some row is zero,
+    and the first such plane is taken.  For k' = 2 it exists iff two
+    orthogonal planes have equal rows, and then I(W) = I(P1) ^ I(P2); of
+    the groups of equal rows, taken by smallest plane index, the first
+    with an orthogonal pair gives its least pair (i, j).  Sorting the row
+    folds (by _MIX) with the plane index in the low bits makes each group
+    a run in index order (an exact lexsort does if equal folds hide
+    unequal rows); offset d pairs each run position with the one d
+    further on, and the least rank (group, i, j) so far prunes the rest.
+
+    The witness is gamma . I_k for the gamma that sends the standard basis
+    to a symplectic basis extending the found planes; they go first, or
+    last when k' != k, since I(W) = I(W-perp).  `nodes` counts the planes
+    examined: the first zero row's index + 1 for k' = 1, every plane
+    otherwise.  k' > 2 raises ValueError.
     """
     members = _split_members(chars, k)
     if not members:
@@ -254,22 +251,34 @@ def detect_split(chars, k: int) -> SplitWitness:
     if half > 2:
         raise ValueError(f"detect_split decides k + (g-k) splits with min(k, g-k) <= 2, got k={k}, g={g}")
     table = _plane_table(g)
-    out = (1 << len(table.bit)) - 1
-    for m in members:
-        out ^= 1 << table.bit[m.code]
-    nodes, planes = len(table.masks), None
+    out = (1 << len(table.bit)) - 1 - sum(1 << table.bit[m.code] for m in members)
+    keys = table.masks & np.frombuffer(out.to_bytes(8 * table.masks.shape[1], "little"), dtype="<u8")
+    n = nodes = len(keys)
     if half == 1:
-        i = next((i for i, mask in enumerate(table.masks) if not mask & out), None)
-        if i is not None:
-            nodes, planes = i + 1, [i]
+        inside = np.flatnonzero(reduce(np.bitwise_or, keys.T) == 0)
+        planes = [int(inside[0])] if inside.size else None
+        nodes = planes[0] + 1 if planes else n
     else:
-        groups: dict[int, list[int]] = {}
-        for i, mask in enumerate(table.masks):
-            groups.setdefault(mask & out, []).append(i)
-        for ids in groups.values():
-            planes = _orthogonal_pair(table, ids) if len(ids) > 1 else None
-            if planes is not None:
-                break
+        low = np.uint64((1 << n.bit_length()) - 1)
+        fold = reduce(lambda h, word: (h + word) * _MIX, keys.T, np.uint64(0))
+        packed = np.sort(fold & ~low | np.arange(n, dtype=np.uint64))
+        ids, run = (packed & low).astype(np.int64), packed | low
+        pos = np.flatnonzero(run[1:] == run[:-1])
+        if not (keys[ids[pos]] == keys[ids[pos + 1]]).all():
+            ids = np.lexsort(keys.T)
+            run = np.cumsum(np.r_[True, (keys[ids[1:]] != keys[ids[:-1]]).any(axis=1)])
+            pos = np.flatnonzero(run[1:] == run[:-1])
+        lead = ids[np.searchsorted(run, run[pos])] * n + ids[pos]
+        stop = np.searchsorted(run, run[pos], side="right")
+        e, f, meets = table.e, table.f, table.pairs
+        best, d = n**3, 1
+        while pos.size:
+            i, j = ids[pos], ids[pos + d]
+            apart = ~(meets[e[i], e[j]] | meets[e[i], f[j]] | meets[f[i], e[j]] | meets[f[i], f[j]])
+            best, d = min([best, *(lead[apart] * n + j[apart]).tolist()]), d + 1
+            keep = (pos + d < stop) & (lead * n + ids[np.minimum(pos + d, n - 1)] < best)
+            pos, lead, stop = pos[keep], lead[keep], stop[keep]
+        planes = None if best == n**3 else [best // n % n, best % n]
     if planes is None:
         return SplitWitness(False, k, None, nodes)
     pairs = _symplectic_basis(g, [(int(table.e[i]), int(table.f[i])) for i in planes])
@@ -293,16 +302,10 @@ class StratumReport:
     notes: tuple[str, ...]
 
     def to_json(self) -> dict:
-        return {
-            "label": self.label,
-            "form_magnitudes": self.form_magnitudes,
-            "vanishing": [str(m) for m in self.vanishing],
-            "splits": [w.to_json() for w in self.splits],
-            "threshold": self.threshold,
-            "margin": self.margin,
-            "warnings": list(self.warnings),
-            "notes": list(self.notes),
-        }
+        """The fields in order, with characteristics as strings."""
+        return {**vars(self), "vanishing": [str(m) for m in self.vanishing],
+                "splits": [w.to_json() for w in self.splits],
+                "warnings": list(self.warnings), "notes": list(self.notes)}
 
 
 def _some_block_odd(parts: tuple[int, ...]) -> int:

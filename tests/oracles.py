@@ -235,6 +235,79 @@ def split_set_orbit(g, k):
     return frozenset(frozenset(evens[i] for i in member) for member in seen)
 
 
+def _add(u, v):
+    return tuple((a + b) % 2 for a, b in zip(u, v))
+
+
+def _form(u, v, g):
+    """The symplectic form <u, v> of two 2g-tuples (eps then delta)."""
+    return sum(u[i] * v[g + i] + u[g + i] * v[i] for i in range(g)) % 2
+
+
+@cache
+def arf_planes(g):
+    """The planes P = span(e, f), <e, f> = 1, of F2^2g as (e, f, I(P)): e
+    the least of the three nonzero vectors and f the middle one, in (e, f)
+    order, vectors being 2g-tuples eps then delta compared as tuples.
+    I(P) = {m even : Arf(q_m|P) = q_m(e) q_m(f) = 1} as an int whose bit
+    i stands for even_characteristics(g)[i], from q_m(v) = e(m + v) + e(m)."""
+    vectors = list(itertools.product((0, 1), repeat=2 * g))
+    evens = [eps + delta for eps, delta in even_characteristics(g)]
+
+    def parity(x):
+        return sum(x[i] * x[g + i] for i in range(g)) % 2
+
+    q_one = {v: sum(1 << i for i, m in enumerate(evens) if parity(_add(m, v)) != parity(m)) for v in vectors}
+    return [(e, f, q_one[e] & q_one[f]) for e in vectors for f in vectors
+            if e < f < _add(e, f) and _form(e, f, g)]
+
+
+def _plane_keys(g, chars):
+    """The key I(P) - chars of every plane of arf_planes(g), as an int."""
+    chars = set(chars)
+    absent = sum(1 << i for i, m in enumerate(even_characteristics(g)) if m not in chars)
+    return [arf & absent for _, _, arf in arf_planes(g)]
+
+
+def orthogonal_equal_key_pairs(g, chars):
+    """(smallest plane index of the group, i, j) for every pair i < j of
+    orthogonal planes whose keys I(P) - chars are equal."""
+    planes, groups = arf_planes(g), {}
+    for i, key in enumerate(_plane_keys(g, chars)):
+        groups.setdefault(key, []).append(i)
+    for ids in groups.values():
+        for a, i in enumerate(ids):
+            for j in ids[a + 1:]:
+                (e1, f1, _), (e2, f2, _) = planes[i], planes[j]
+                if not any(_form(u, v, g) for u in (e1, f1) for v in (e2, f2)):
+                    yield ids[0], i, j
+
+
+def plane_split_reference(g, chars, k):
+    """The plane test for a k + (g - k) split of the even (eps, delta)
+    pairs `chars`, as (planes, nodes, I(W)).  With k' = min(k, g - k):
+    for k' = 1 the first plane whose key I(P) - chars is empty; for
+    k' = 2 the least (group, i, j) of orthogonal_equal_key_pairs, that is
+    the groups of equal keys in order of their smallest plane index and
+    in the first holding an orthogonal pair its least pair, with
+    I(W) = I(P_i) ^ I(P_j).  planes is the list of (e, f) found, or None;
+    nodes is the found plane's index + 1 for k' = 1 and the plane count
+    otherwise."""
+    planes, evens = arf_planes(g), even_characteristics(g)
+
+    def members(arf):
+        return {m for i, m in enumerate(evens) if arf >> i & 1}
+
+    if min(k, g - k) == 1:
+        i = next((i for i, key in enumerate(_plane_keys(g, chars)) if not key), None)
+        return (None, len(planes), None) if i is None else ([planes[i][:2]], i + 1, members(planes[i][2]))
+    best = min(orthogonal_equal_key_pairs(g, chars), default=None)
+    if best is None:
+        return None, len(planes), None
+    (e1, f1, arf1), (e2, f2, arf2) = planes[best[1]], planes[best[2]]
+    return [(e1, f1), (e2, f2)], len(planes), members(arf1 ^ arf2)
+
+
 # atoms: "1" elliptic, "2i" indecomposable surface, "3n"/"3h"
 # (non)hyperelliptic indecomposable threefold
 _BLOCK_STRATA = {

@@ -1,3 +1,4 @@
+import importlib
 import json
 
 import numpy as np
@@ -17,7 +18,9 @@ from thetastrata.chars import (
 from thetastrata.classify import (
     THETA_TARGET,
     _LABELS,
+    _basis_element,
     _plane_table,
+    _symplectic_basis,
     classify,
     classify_from_pattern,
     detect_split,
@@ -34,7 +37,18 @@ from thetastrata.theta import (
     validate_siegel,
 )
 
-from oracles import block_stratum_label, odd_on_some_block_count, split_set_orbit
+from oracles import (
+    block_stratum_label,
+    odd_on_some_block_count,
+    orthogonal_equal_key_pairs,
+    plane_split_reference,
+    split_set_orbit,
+)
+
+
+def _row_int(row):
+    """A row of _PlaneTable.masks as one int: bit 64 w + b is bit b of word w."""
+    return int.from_bytes(np.asarray(row, dtype="<u8").tobytes(), "little")
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +121,26 @@ class TestVanishingSet:
         assert rep.members and rep.warning and rep.margin < 10
 
 
+class TestThreshold:
+    """A threshold outside (0, 1], or not a number, is refused with its value named."""
+
+    BAD = [float("nan"), float("inf"), -float("inf"), 2.0, 0.0, -1e-6]
+
+    @pytest.mark.parametrize("threshold", BAD)
+    def test_classify_rejects(self, threshold):
+        with pytest.raises(ValueError, match=f"got {threshold!r}"):
+            classify(generic_siegel_point(4, 1), rel_threshold=threshold)
+
+    @pytest.mark.parametrize("threshold", BAD)
+    def test_vanishing_set_rejects(self, threshold):
+        with pytest.raises(ValueError, match=f"got {threshold!r}"):
+            vanishing_set(generic_siegel_point(4, 1), threshold)
+
+    def test_one_is_allowed(self):
+        # every constant but the largest lies below the whole scale
+        assert len(vanishing_set(generic_siegel_point(4, 1), 1.0)) == 135
+
+
 class TestDetectSplit:
     def test_reflexive(self):
         i1 = product_split_tuple(4, 1)
@@ -148,7 +182,7 @@ class TestDetectSplit:
         assert detect_split(members, 2).nodes == planes
         # k' = 1 stops at the first plane P with I(P) inside the set
         i1 = product_split_tuple(4, 1)
-        first = next(i for i, mask in enumerate(_plane_table(4).masks)
+        first = next(i for i, mask in enumerate(map(_row_int, _plane_table(4).masks))
                      if {m for j, m in enumerate(all_characteristics(4, "even")) if mask >> j & 1} <= set(i1))
         assert detect_split(list(i1), 1).nodes == first + 1
 
@@ -260,7 +294,7 @@ class TestFindSplit:
         assert _arf_set(g, k) == expected
         # the tables give the same set as the XOR over the planes span(e_i, f_i)
         table = _plane_table(g)
-        by_plane = {(int(e), int(f)): mask for e, f, mask in zip(table.e, table.f, table.masks)}
+        by_plane = {(int(e), int(f)): _row_int(mask) for e, f, mask in zip(table.e, table.f, table.masks)}
         mask = 0
         for i in range(k):
             e, f = _standard_plane_codes(g, i)
@@ -271,7 +305,7 @@ class TestFindSplit:
         assert res.found and set(res.witness) == expected
 
     def test_plane_count_genus_four(self):
-        masks = _plane_table(4).masks
+        masks = [_row_int(row) for row in _plane_table(4).masks]
         assert len(masks) == len(set(masks)) == 5440
 
     def test_orbit_sizes(self):
@@ -323,6 +357,97 @@ class TestFindSplit:
         path.write_text(json.dumps(point_to_json(point)))
         assert cli.run(["classify", "--tau", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["label"] == "X5"
+
+
+def _reference_split(g, chars, k):
+    """(found, witness, nodes) as detect_split must report them, from
+    tests/oracles.py's plane choice: the witness is built from the
+    oracle's planes by detect_split's own construction, and its set must
+    be the oracle's I(W)."""
+    planes, nodes, arf = plane_split_reference(g, [(m.eps, m.delta) for m in chars], k)
+    if planes is None:
+        return False, None, nodes
+    codes = [tuple(Characteristic(g, v[:g], v[g:]).code for v in plane) for plane in planes]
+    pairs = _symplectic_basis(g, codes)
+    half = min(k, g - k)
+    if half != k:
+        pairs = pairs[half:] + pairs[:half]
+    witness = act_on_tuple(_basis_element(g, pairs), product_split_tuple(g, k))
+    assert {(m.eps, m.delta) for m in witness} == arf
+    return True, witness, nodes
+
+
+def _grown_set(rng, k, fewest, most):
+    """An image of I_k under a random word with fewest to most - 1 random
+    evens added, in code order."""
+    word = random_symplectic(4, 6, int(rng.integers(1 << 30))).mod_two()
+    chars = set(act_on_tuple(word, product_split_tuple(4, k)))
+    evens = all_characteristics(4, "even")
+    chars |= {evens[i] for i in rng.choice(len(evens), int(rng.integers(fewest, most)), replace=False)}
+    return sorted(chars, key=lambda m: m.code)
+
+
+# seeds of _wide_set whose first group with an orthogonal pair does not
+# hold the least orthogonal pair overall, so that the order of the groups
+# decides the witness (found by scanning seeds 1600-1899)
+WIDE_SEEDS = (1741, 1808, 1864, 1883)
+
+
+def _wide_set(seed):
+    return _grown_set(np.random.default_rng(seed), 2, 70, 110)
+
+
+def _selection_inputs(block_13, block_22, block_112):
+    """Vanishing sets of the block fixtures and their ORACLE_WORDS images,
+    of 1j * 1_4, seeded random even sets around I_1 and I_2 (the least
+    member dropped in every third draw) and the wide sets."""
+    words = [random_symplectic(4, 6, s).mod_two() for s in ORACLE_WORDS]
+    sets = [vanishing_set(validate_siegel(1j * np.eye(4))).members]
+    for members in (vanishing_set(p).members for p in (block_13, block_22, block_112)):
+        sets.append(members)
+        sets += [sorted(act_on_tuple(w, CharTuple(4, members)), key=lambda m: m.code) for w in words]
+    rng = np.random.default_rng(1500)
+    for draw in range(24):
+        chars = _grown_set(rng, 1 + draw % 2, 0, 40)
+        sets.append(chars[1:] if draw % 3 == 2 else chars)
+    return sets + [_wide_set(seed) for seed in WIDE_SEEDS]
+
+
+class TestSelectionRule:
+    """detect_split picks the planes of tests/oracles.py's plain reference
+    of the rule, so witnesses and node counts stay fixed."""
+
+    def _check(self, sets):
+        found = []
+        for chars in sets:
+            for k in (1, 2, 3):
+                res = detect_split(chars, k)
+                expected = _reference_split(4, chars, k)
+                assert (res.found, res.witness, res.nodes) == expected, (len(chars), k)
+                found.append(res.found)
+        return found
+
+    def test_matches_reference(self, block_13, block_22, block_112):
+        found = self._check(_selection_inputs(block_13, block_22, block_112))
+        assert any(found) and not all(found)
+
+    def test_group_order_decides_on_wide_sets(self):
+        for seed in WIDE_SEEDS:
+            pairs = list(orthogonal_equal_key_pairs(4, [(m.eps, m.delta) for m in _wide_set(seed)]))
+            assert min(pairs)[1:] != min(p[1:] for p in pairs)
+
+    def test_low_genus_matches_reference(self):
+        for g in (2, 3):
+            for chars in _low_genus_sources(g):
+                for k in range(1, g):
+                    res = detect_split(chars, k)
+                    assert (res.found, res.witness, res.nodes) == _reference_split(g, chars, k)
+
+    def test_equal_folds_give_the_same_choice(self, block_13, block_22, block_112, monkeypatch):
+        # with every fold equal, each group is found by the exact fallback
+        sets = _selection_inputs(block_13, block_22, block_112)
+        monkeypatch.setattr(importlib.import_module("thetastrata.classify"), "_MIX", np.uint64(0))
+        self._check(sets)
 
 
 class TestDerivedCounts:

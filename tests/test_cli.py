@@ -84,6 +84,14 @@ def test_classify_block(capsys, tmp_path):
     assert len(out["vanishing"]) == 36
 
 
+@pytest.mark.parametrize("threshold", ["nan", "inf", "2", "0", "-1e-6"])
+def test_classify_bad_threshold_is_domain_error(capsys, tau4_file, threshold):
+    assert cli.run(["classify", "--tau", tau4_file, f"--threshold={threshold}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "rel_threshold" in captured.err
+
+
 def test_verify_orbit_oracle(capsys):
     out = run_json(capsys, ["verify", "orbit-oracle", "--genus", "1"])
     assert out["ok"] is True
