@@ -93,6 +93,11 @@ class VanishingSet:
         return len(self.members)
 
 
+def _check_threshold(rel_threshold: float) -> None:
+    if not 0 < rel_threshold <= 1:
+        raise ValueError(f"rel_threshold must be a finite number in (0, 1], got {rel_threshold!r}")
+
+
 def vanishing_set(
     point: SiegelPoint,
     rel_threshold: float = 1e-6,
@@ -102,8 +107,7 @@ def vanishing_set(
     relative threshold; `constants` may carry a precomputed
     even_theta_constants(point, THETA_TARGET) result.  A threshold that is
     not a finite number in (0, 1] raises ValueError."""
-    if not 0 < rel_threshold <= 1:
-        raise ValueError(f"rel_threshold must be a finite number in (0, 1], got {rel_threshold!r}")
+    _check_threshold(rel_threshold)
     if constants is None:
         constants = even_theta_constants(point, THETA_TARGET)
     mags = {m: abs(tv.value) for m, tv in constants.items()}
@@ -251,7 +255,9 @@ def detect_split(chars, k: int) -> SplitWitness:
     if half > 2:
         raise ValueError(f"detect_split decides k + (g-k) splits with min(k, g-k) <= 2, got k={k}, g={g}")
     table = _plane_table(g)
-    out = (1 << len(table.bit)) - 1 - sum(1 << table.bit[m.code] for m in members)
+    out = (1 << len(table.bit)) - 1
+    for m in members:
+        out ^= 1 << table.bit[m.code]
     keys = table.masks & np.frombuffer(out.to_bytes(8 * table.masks.shape[1], "little"), dtype="<u8")
     n = nodes = len(keys)
     if half == 1:
@@ -259,6 +265,7 @@ def detect_split(chars, k: int) -> SplitWitness:
         planes = [int(inside[0])] if inside.size else None
         nodes = planes[0] + 1 if planes else n
     else:
+        # one sort of row folds is about 3x faster than np.lexsort of the rows
         low = np.uint64((1 << n.bit_length()) - 1)
         fold = reduce(lambda h, word: (h + word) * _MIX, keys.T, np.uint64(0))
         packed = np.sort(fold & ~low | np.arange(n, dtype=np.uint64))
@@ -302,10 +309,16 @@ class StratumReport:
     notes: tuple[str, ...]
 
     def to_json(self) -> dict:
-        """The fields in order, with characteristics as strings."""
-        return {**vars(self), "vanishing": [str(m) for m in self.vanishing],
-                "splits": [w.to_json() for w in self.splits],
-                "warnings": list(self.warnings), "notes": list(self.notes)}
+        return {
+            "label": self.label,
+            "form_magnitudes": self.form_magnitudes,
+            "vanishing": [str(m) for m in self.vanishing],
+            "splits": [w.to_json() for w in self.splits],
+            "threshold": self.threshold,
+            "margin": self.margin,
+            "warnings": list(self.warnings),
+            "notes": list(self.notes),
+        }
 
 
 def _some_block_odd(parts: tuple[int, ...]) -> int:
@@ -373,6 +386,7 @@ def classify(
     """
     if point.genus != 4:
         raise ValueError(f"classify requires genus 4, got {point.genus}")
+    _check_threshold(rel_threshold)
     constants = even_theta_constants(point, THETA_TARGET)
     forms = evaluate_forms(point, THETA_TARGET, constants=constants)
     mags = {fid: fv.relative_magnitude for fid, fv in forms.items()}

@@ -136,6 +136,14 @@ class TestThreshold:
         with pytest.raises(ValueError, match=f"got {threshold!r}"):
             vanishing_set(generic_siegel_point(4, 1), threshold)
 
+    def test_classify_rejects_before_theta_work(self, monkeypatch):
+        def no_theta(*args):
+            raise AssertionError("theta constants summed before the threshold check")
+
+        monkeypatch.setattr(importlib.import_module("thetastrata.classify"), "even_theta_constants", no_theta)
+        with pytest.raises(ValueError, match="got nan"):
+            classify(generic_siegel_point(4, 1), rel_threshold=float("nan"))
+
     def test_one_is_allowed(self):
         # every constant but the largest lies below the whole scale
         assert len(vanishing_set(generic_siegel_point(4, 1), 1.0)) == 135
