@@ -31,6 +31,7 @@ from .forms import (
     evaluate_forms,
     form_weight,
     transformation_residual,
+    transformation_residuals,
 )
 from .symplectic import (
     OrbitProfile,
@@ -56,6 +57,7 @@ from .theta import (
     siegel_action,
     theta_constant,
     theta_function,
+    theta_functions,
     truncation_radius,
     truncation_tail_bound,
     validate_siegel,

@@ -44,7 +44,7 @@ import numpy as np
 
 from .chars import Characteristic, even_count
 from .symplectic import SymplecticInteger, affine_action
-from .theta import SiegelPoint, even_theta_constants, siegel_action, theta_constant
+from .theta import SiegelPoint, even_theta_constants, siegel_action, theta_functions
 
 __all__ = [
     "FormValue",
@@ -52,6 +52,7 @@ __all__ = [
     "evaluate_forms",
     "form_weight",
     "transformation_residual",
+    "transformation_residuals",
 ]
 
 FORM_IDS = ("FT", "THETANULL", "F1")
@@ -158,29 +159,42 @@ def form_weight(form_id: str, g: int) -> int:
     return degree // 2
 
 
+def transformation_residuals(cases, target: float = 1e-10) -> list[float]:
+    """Relative defect of the eighth-power transformation law
+
+        theta_{gamma.m}(0, gamma o tau)^8 = det(C tau + D)^4 theta_m(0, tau)^8
+
+    for each (gamma, m, tau) of cases, all of one genus, with every theta
+    constant of the batch from one theta_functions call.  gamma.m is the
+    calibrated affine action (the label rides with the transformed point;
+    on the standard generators, each congruent to its own inverse mod 2,
+    this coincides with placing the moved label on the untransformed
+    side, but for general words only this orientation holds).  Each is
+    |lhs - rhs| / (|lhs| + |rhs| + 1e-12).
+    """
+    chars, points, dets = [], [], []
+    for gamma, m, point in cases:
+        if gamma.genus != point.genus or m.genus != point.genus:
+            raise ValueError("genus mismatch among gamma, m, tau")
+        chars += [affine_action(gamma.mod_two(), m), m]
+        points += [siegel_action(gamma, point), point]
+        c = np.array(gamma.c, dtype=complex)
+        d = np.array(gamma.d, dtype=complex)
+        dets.append(complex(np.linalg.det(c @ point.tau + d)))
+    values = theta_functions(chars, [np.zeros(point.genus) for point in points], points, target)
+    residuals = []
+    for det, moved, fixed in zip(dets, values[::2], values[1::2]):
+        lhs = moved.value**8
+        rhs = det**4 * fixed.value**8
+        residuals.append(abs(lhs - rhs) / (abs(lhs) + abs(rhs) + _RESIDUAL_FLOOR))
+    return residuals
+
+
 def transformation_residual(
     gamma: SymplecticInteger,
     m: Characteristic,
     point: SiegelPoint,
     target: float = 1e-10,
 ) -> float:
-    """Relative defect of the eighth-power transformation law
-
-        theta_{gamma.m}(0, gamma o tau)^8 = det(C tau + D)^4 theta_m(0, tau)^8,
-
-    where gamma.m is the calibrated affine action (the label rides with
-    the transformed point; on the standard generators, each congruent to
-    its own inverse mod 2, this coincides with placing the moved label on
-    the untransformed side, but for general words only this orientation
-    holds).  Returns |lhs - rhs| / (|lhs| + |rhs| + 1e-12).
-    """
-    if gamma.genus != point.genus or m.genus != point.genus:
-        raise ValueError("genus mismatch among gamma, m, tau")
-    moved_point = siegel_action(gamma, point)
-    moved_char = affine_action(gamma.mod_two(), m)
-    lhs = theta_constant(moved_char, moved_point, target).value ** 8
-    c = np.array(gamma.c, dtype=complex)
-    d = np.array(gamma.d, dtype=complex)
-    det = complex(np.linalg.det(c @ point.tau + d))
-    rhs = det**4 * theta_constant(m, point, target).value ** 8
-    return abs(lhs - rhs) / (abs(lhs) + abs(rhs) + _RESIDUAL_FLOOR)
+    """The residual of transformation_residuals for one case."""
+    return transformation_residuals([(gamma, m, point)], target)[0]

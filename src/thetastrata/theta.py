@@ -17,16 +17,22 @@ eigenvalue of Im tau: numpy's eigenvalue, lowered by a few rounding units
 of ||Im tau|| until a Cholesky factorization of Im tau - lambda_min * 1
 succeeds.
 
-Neither theta_function nor even_theta_constants sums the whole box.
+Neither theta_functions nor even_theta_constants sums the whole box.
 With Y = Im tau, p = n + eps/2 and the centre c = -Y^{-1} Im z - eps/2, a
 term has modulus exp(-pi (q - L)), where q = (n - c)^T Y (n - c) and
 L = Im z^T Y^{-1} Im z.  Both keep only the box points with q <= C + L,
-C = ln(2 (2R+1)^g / (target - tail(R))) / pi, found by one Fincke-Pohst
+C = ln(2 (2R+1)^g / (target - tail(R))) / pi, found by a Fincke-Pohst
 enumeration of that ellipsoid (Deconinck, Heil, Bobenko, van Hoeij and
 Schmies, Math. Comp. 73 (2004)).  Every dropped term has modulus below
 exp(-pi C), so the bound has two parts: the box tail plus
 (2R+1)^g exp(-pi C) = (target - tail(R)) / 2 for the dropped box terms,
 which keeps it below target.
+
+The enumeration, _ellipsoid, has a problem axis: it walks P ellipsoids
+of one genus at once and carries each point's problem index.
+theta_functions sums a batch of (m, z, tau) in one walk (theta_function
+and theta_constant are its batch of one); even_theta_constants is a
+walk of one problem.
 
 Arithmetic is double precision; the tail bound covers truncation only,
 not the ~1e-15-per-term floating point floor.
@@ -50,6 +56,7 @@ __all__ = [
     "validate_siegel",
     "truncation_tail_bound",
     "truncation_radius",
+    "theta_functions",
     "theta_function",
     "theta_constant",
     "even_theta_constants",
@@ -66,6 +73,7 @@ IM_Z_CAP = 10.0
 _DET_FLOOR = 1e-8
 _ACTION_SYM_TOL = 1e-9  # the solve leaves tau' symmetric only to rounding
 _ELLIPSOID_CHUNK = 1 << 16  # points per pass of the enumeration, bounding its memory
+_BATCH_CHUNK = 1 << 13  # the same for a theta_functions batch: lower peak memory, no measured cost in time
 _CUT_SLACK = 1e-9  # widens the ellipsoid past the rounding of its Cholesky sums
 
 
@@ -181,29 +189,55 @@ def _truncation(point: SiegelPoint, target: float, z_im: float = 0.0, lift: floa
     return radius, tail + dropped, (cut + lift) * (1 + _CUT_SLACK)
 
 
-def theta_function(m: Characteristic, z, point: SiegelPoint, target: float) -> ThetaValue:
-    """theta_m(z, tau) with certified truncation error below target, summed
-    over the n in the ellipsoid q <= C + L within the box |n|_inf <= R.  A
+def theta_functions(chars, zs, points, target: float) -> list[ThetaValue]:
+    """theta_m(z, tau) for each (m, z, tau) of the three sequences, all
+    points of one genus, each with certified truncation error below
+    target, from one enumeration over all the problems.  Problem p sums
+    the n in its ellipsoid q <= C + L within its box |n|_inf <= R.  A
     term's phase is pi (n^T (Re tau) n + 2 l^T n) plus a constant, with
-    l = Re tau eps/2 + Re z + delta/2; radius is R."""
-    g = point.genus
-    if m.genus != g:
-        raise ValueError(f"genus mismatch: characteristic {m.genus}, point {g}")
-    zv = np.asarray(z, dtype=complex).reshape(-1)
-    if zv.shape != (g,):
+    l = Re tau eps/2 + Re z + delta/2; radius is R.
+
+    np.add.at adds each term onto its problem's running sum in the order
+    of enumeration, so a value does not depend on the rest of the batch
+    or on where the enumeration's limit split falls.
+    """
+    if not len(chars) == len(zs) == len(points):
+        raise ValueError("chars, zs and points must have the same length")
+    if not points:
+        return []
+    g = points[0].genus
+    for m, point in zip(chars, points):
+        if point.genus != g:
+            raise ValueError(f"one batch holds one genus: got {g} and {point.genus}")
+        if m.genus != g:
+            raise ValueError(f"genus mismatch: characteristic {m.genus}, point {g}")
+    zv = [np.asarray(z, dtype=complex).reshape(-1) for z in zs]
+    if any(z.shape != (g,) for z in zv):
         raise ValueError(f"z must have length {g}")
-    z_im = float(np.linalg.norm(zv.imag))
-    if z_im > IM_Z_CAP:
-        raise ValueError(f"|Im z| = {z_im:.3g} exceeds cap {IM_Z_CAP}")
-    eps = np.array(m.eps, dtype=float) / 2
-    shift = zv.real + np.array(m.delta, dtype=float) / 2
-    offset = np.linalg.solve(point.tau.imag, zv.imag)  # Y^{-1} Im z
-    lift = float(zv.imag @ offset)
-    radius, tail_bound, bound = _truncation(point, target, z_im, lift)
-    chunks = _ellipsoid(point.tau, bound, radius, -offset - eps, point.tau.real @ eps + shift)
-    value = sum(complex(np.exp(np.pi * (lift - q + 1j * phase)).sum()) for q, phase, _ in chunks)
-    const = eps @ point.tau.real @ eps + 2 * eps @ shift
-    return ThetaValue(value * complex(np.exp(1j * np.pi * const)), tail_bound, radius)
+    zv = np.array(zv)
+    z_im = np.linalg.norm(zv.imag, axis=1)
+    if z_im.max() > IM_Z_CAP:
+        raise ValueError(f"|Im z| = {z_im.max():.3g} exceeds cap {IM_Z_CAP}")
+    taus = np.array([point.tau for point in points])
+    eps = np.array([m.eps for m in chars], dtype=float) / 2
+    shift = zv.real + np.array([m.delta for m in chars], dtype=float) / 2
+    offset = np.linalg.solve(taus.imag, zv.imag[:, :, None])[:, :, 0]  # Y^{-1} Im z
+    lift = (zv.imag * offset).sum(axis=1)
+    radii, tail_bounds, bounds = zip(*(_truncation(point, target, float(y), float(x))
+                                       for point, y, x in zip(points, z_im, lift)))
+    pulled = (taus.real @ eps[:, :, None])[:, :, 0]  # Re tau eps/2
+    sums = np.zeros(len(points), dtype=complex)
+    for prob, q, phase, _ in _ellipsoid(taus, np.array(bounds), np.array(radii), -offset - eps,
+                                        pulled + shift, limit=_BATCH_CHUNK):
+        np.add.at(sums, prob, np.exp(np.pi * (lift[prob] - q + 1j * phase)))
+    const = (eps * (pulled + 2 * shift)).sum(axis=1)
+    values = sums * np.exp(1j * np.pi * const)
+    return [ThetaValue(complex(v), t, r) for v, t, r in zip(values, tail_bounds, radii)]
+
+
+def theta_function(m: Characteristic, z, point: SiegelPoint, target: float) -> ThetaValue:
+    """theta_m(z, tau), the batch of one of theta_functions."""
+    return theta_functions([m], [z], [point], target)[0]
 
 
 def theta_constant(m: Characteristic, point: SiegelPoint, target: float) -> ThetaValue:
@@ -233,8 +267,9 @@ def even_theta_constants(point: SiegelPoint, target: float) -> dict[Characterist
     radius, tail_bound, bound = _truncation(point, target)
     evens, bins, weights = _even_tables(g)
     sums = np.zeros(4**g, dtype=complex)
-    origin = np.zeros(g)
-    for q, phase, cls in _ellipsoid(point.tau / 4, bound, 2 * radius + 1, origin, origin, half=True):
+    origin = np.zeros((1, g))
+    for _, q, phase, cls in _ellipsoid((point.tau / 4)[None], np.array([bound]), np.array([2 * radius + 1]),
+                                       origin, origin, half=True):
         size = 2 * np.exp(-np.pi * q)
         angle = np.pi * phase
         sums += np.bincount(cls, size * np.cos(angle), 4**g)
@@ -244,12 +279,17 @@ def even_theta_constants(point: SiegelPoint, target: float) -> dict[Characterist
     return {m: ThetaValue(complex(v), tail_bound, radius) for m, v in zip(evens, values)}
 
 
-def _ellipsoid(form: np.ndarray, bound: float, edge: int, center: np.ndarray, shift: np.ndarray,
-               half: bool = False, limit: int = _ELLIPSOID_CHUNK):
-    """Yield (q, phase, cls) arrays, in chunks of about `limit`, over the
-    integer x with |x|_inf <= edge and q = (x - center)^T (Im form)
-    (x - center) <= bound.  phase = x^T (Re form) x + 2 shift^T x and
-    cls = sum_j (x_j mod 4) 4^j.
+def _ellipsoid(forms: np.ndarray, bounds, edges, centers, shifts, half: bool = False,
+               limit: int = _ELLIPSOID_CHUNK):
+    """Yield (prob, q, phase, cls) arrays, in chunks of about `limit`, over
+    P problems of one genus given by stacked forms (P, g, g), bounds and
+    edges (P,) and centers and shifts (P, g).  Problem p holds the
+    integer x with |x|_inf <= edges[p] and
+    q = (x - centers[p])^T (Im forms[p]) (x - centers[p]) <= bounds[p];
+    prob is p, phase = x^T (Re forms[p]) x + 2 shifts[p]^T x and
+    cls = sum_j (x_j mod 4) 4^j.  The points of each problem come in the
+    same order whatever the rest of the batch and wherever the limit
+    split falls.
 
     With half, only x = 0 and the x whose first nonzero entry, read from
     x_{g-1} down, is positive are visited.  That is half of the sum only
@@ -259,42 +299,67 @@ def _ellipsoid(form: np.ndarray, bound: float, edge: int, center: np.ndarray, sh
     Fincke-Pohst: with Im form = L L^T,
     q = sum_i (sum_{j>=i} L_ji (x_j - center_j))^2, so once x_{i+1}, ...,
     x_{g-1} are fixed, x_i runs over an interval.  Each array is built up
-    one coordinate at a time.
+    one coordinate at a time, a parent passing its values to its
+    children with np.repeat.
     """
-    g = len(form)
-    chol = np.linalg.cholesky(form.imag)
-    re = form.real
-    pull = chol.T @ center  # pull_i = sum_{j>=i} L_ji center_j
+    n_prob, g = len(forms), forms.shape[-1]
+    chol = np.linalg.cholesky(forms.imag)
+    pull = (centers[:, None, :] @ chol)[:, 0]  # pull_i = sum_{j>=i} L_ji center_j
+    table = np.concatenate([pull, shifts, chol.reshape(n_prob, -1), forms.real.reshape(n_prob, -1),
+                            bounds[:, None], edges[:, None]], axis=1)
+    tables = [table[:, columns] for columns in _level_columns(g)]
 
-    def expand(cols, zero, q, phase, cls, i):
-        # cols holds x_{g-1}, ..., x_{i+1}; zero marks an all-zero prefix
-        mid = np.full(len(q), pull[i])
-        lin = np.full(len(q), float(shift[i]))
+    def expand(cols, zero, q, phase, cls, prob, i):
+        # cols holds x_{g-1}, ..., x_{i+1}; zero marks an all-zero prefix;
+        # mid and lin start as pull_i and shift_i
+        mid, lin, diag, re_ii, bound, edge, *coef = tables[i].take(prob, axis=0).T
         for k, col in enumerate(cols):
-            mid -= chol[g - 1 - k, i] * col
-            lin += re[g - 1 - k, i] * col
-        mid /= chol[i, i]
-        half_width = np.sqrt(np.maximum(bound - q, 0.0)) / chol[i, i]
+            mid -= coef[k] * col
+            lin += coef[len(cols) + k] * col
+        mid /= diag
+        half_width = np.sqrt(np.maximum(bound - q, 0.0)) / diag
         first = np.maximum(np.ceil(mid - half_width), np.where(zero, 0, -edge)).astype(np.int64)
         count = np.maximum(np.minimum(np.floor(mid + half_width), edge).astype(np.int64) - first + 1, 0)
         total = int(count.sum())
+        if not total:
+            return
         if total > limit and len(q) > 1:
             at = len(q) // 2
             for part in (slice(None, at), slice(at, None)):
-                yield from expand([col[part] for col in cols], zero[part], q[part], phase[part], cls[part], i)
+                yield from expand([col[part] for col in cols], zero[part], q[part], phase[part],
+                                  cls[part], prob[part], i)
             return
-        owner = np.repeat(np.arange(len(q)), count)
-        new = first[owner] + np.arange(total) - np.repeat(np.cumsum(count) - count, count)
-        q = q[owner] + (chol[i, i] * (new - mid[owner])) ** 2
-        phase = phase[owner] + new * (re[i, i] * new + 2 * lin[owner])
-        cls = cls[owner] + ((new & 3) << (2 * i))
-        if i == 0:
-            yield q, phase, cls
+        new = (first - (np.cumsum(count) - count)).repeat(count) + np.arange(total)
+        if prob[0] == prob[-1]:  # one problem: its coefficients broadcast
+            diag, re_ii = diag[:1], re_ii[:1]
         else:
-            cols = [col[owner] for col in cols] + [new]
-            yield from expand(cols, zero[owner] & (new == 0), q, phase, cls, i - 1)
+            diag, re_ii = diag.repeat(count), re_ii.repeat(count)
+        q = q.repeat(count) + (diag * (new - mid.repeat(count))) ** 2
+        phase = phase.repeat(count) + new * (re_ii * new + (2 * lin).repeat(count))
+        cls = cls.repeat(count) + ((new & 3) << (2 * i))
+        prob = prob.repeat(count)
+        del mid, lin, diag, re_ii, bound, edge, coef, half_width, first  # free the parents' table
+        if i == 0:
+            yield prob, q, phase, cls
+        else:
+            cols = [col.repeat(count) for col in cols] + [new]
+            yield from expand(cols, zero.repeat(count) & (new == 0), q, phase, cls, prob, i - 1)
 
-    yield from expand([], np.full(1, half), np.zeros(1), np.zeros(1), np.zeros(1, dtype=np.int64), g - 1)
+    yield from expand([], np.full(n_prob, half), np.zeros(n_prob), np.zeros(n_prob),
+                      np.zeros(n_prob, dtype=np.int64), np.arange(n_prob), g - 1)
+
+
+@cache
+def _level_columns(g: int) -> list[np.ndarray]:
+    """For each level i of _ellipsoid, the columns of its problem table
+    (pull, shift, L and Re row by row, bound, edge) that a parent reads:
+    pull_i, shift_i, L_ii, Re_ii, bound, edge, then L_ji and Re_ji for
+    j = g-1, ..., i+1."""
+    chol, re, bound = 2 * g, 2 * g + g * g, 2 * g + 2 * g * g
+    higher = [range(g - 1, i, -1) for i in range(g)]
+    return [np.array([i, g + i, chol + i * (g + 1), re + i * (g + 1), bound, bound + 1]
+                     + [chol + j * g + i for j in higher[i]] + [re + j * g + i for j in higher[i]])
+            for i in range(g)]
 
 
 @cache

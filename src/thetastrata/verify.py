@@ -12,7 +12,7 @@ import itertools
 import numpy as np
 
 from .chars import CharTuple, all_characteristics
-from .forms import evaluate_forms, transformation_residual
+from .forms import evaluate_forms, transformation_residuals
 from .symplectic import orbit_bfs, orbit_profile, random_symplectic, standard_generators
 from .theta import (
     block_diag,
@@ -90,19 +90,22 @@ def orbit_oracle_check(g: int) -> dict:
 def transformation_check(g: int, seed: int, count: int) -> dict:
     """Seeded random words of 1 to MAX_WORD_LENGTH letters and random
     points: every eighth-power transformation residual (at theta target
-    1e-10) must stay below 1e-8."""
+    1e-10) must stay below 1e-8.  Raises ValueError for count < 1, which
+    would pass with no check made."""
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
     rng = np.random.default_rng(seed)
     evens = all_characteristics(g, "even")
-    checks = []
-    worst = 0.0
+    cases, checks = [], []
     for _ in range(count):
         word_length = int(rng.integers(1, MAX_WORD_LENGTH + 1))
         gamma = random_symplectic(g, word_length, int(rng.integers(0, 2**31)))
         m = evens[int(rng.integers(0, len(evens)))]
-        point = random_siegel_point(g, rng)
-        residual = transformation_residual(gamma, m, point)
-        worst = max(worst, residual)
-        checks.append({"word_length": word_length, "char": str(m), "residual": residual})
+        cases.append((gamma, m, random_siegel_point(g, rng)))
+        checks.append({"word_length": word_length, "char": str(m)})
+    for check, residual in zip(checks, transformation_residuals(cases)):
+        check["residual"] = residual
+    worst = max(check["residual"] for check in checks)
     return {
         "genus": g,
         "seed": seed,
@@ -120,17 +123,17 @@ def transformation_generator_sweep(g: int, seed: int, extra_points: int = 5, tar
     rng = np.random.default_rng(seed)
     points = [validate_siegel(1j * np.eye(g))]
     points += [random_siegel_point(g, rng) for _ in range(extra_points)]
-    worst = 0.0
-    n_checks = 0
-    for gamma in standard_generators(g):
-        for m in all_characteristics(g, "even"):
-            for point in points:
-                worst = max(worst, transformation_residual(gamma, m, point, target))
-                n_checks += 1
+    cases = [
+        (gamma, m, point)
+        for gamma in standard_generators(g)
+        for m in all_characteristics(g, "even")
+        for point in points
+    ]
+    worst = max(transformation_residuals(cases, target))
     return {
         "genus": g,
         "seed": seed,
-        "checks": n_checks,
+        "checks": len(cases),
         "max_residual": worst,
         "tolerance": TRANSFORMATION_TOL,
         "ok": worst < TRANSFORMATION_TOL,

@@ -108,6 +108,36 @@ def test_verify_transformation_deterministic(capsys):
     assert first["ok"] is True
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_verify_transformation_rejects_empty_suite(capsys, count):
+    # a suite of no checks would report "ok": true having checked nothing
+    assert cli.run(["verify", "transformation", "--genus", "4", "--seed", "1", "--count", count]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "count must be at least 1" in captured.err
+
+
+# the (word_length, char) draws of `verify transformation --genus 4 --count 10`
+# for seeds 1-3, as the per-check suite made them: drawing every case before
+# the one batched theta call keeps the draws, and so the work, the same
+GENUS4_DRAWS = {
+    1: [(3, "1011|1101"), (6, "1001|0110"), (5, "1101|0101"), (5, "0110|0110"), (1, "1010|1111"),
+        (5, "0010|0101"), (1, "1010|1011"), (5, "1100|1100"), (5, "1011|1101"), (3, "1000|0011")],
+    2: [(6, "0000|1110"), (2, "1001|1111"), (2, "1000|0001"), (3, "0100|0001"), (3, "1001|1101"),
+        (4, "1111|1001"), (6, "1111|1111"), (3, "1001|1001"), (3, "0110|1000"), (2, "1011|0111")],
+    3: [(5, "0010|0000"), (2, "0010|1000"), (4, "1110|0000"), (6, "1000|0000"), (4, "1110|1100"),
+        (3, "0110|0000"), (4, "0000|0101"), (1, "1001|0110"), (6, "1000|0100"), (3, "0010|0001")],
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GENUS4_DRAWS))
+def test_verify_transformation_genus_four_draws_pinned(capsys, seed):
+    out = run_json(capsys, ["verify", "transformation", "--genus", "4", "--seed", str(seed), "--count", "10"])
+    assert [(c["word_length"], c["char"]) for c in out["checks"]] == GENUS4_DRAWS[seed]
+    assert out["ok"] is True
+    assert all(c["residual"] < out["tolerance"] for c in out["checks"])
+
+
 def test_verify_schottky_small_genus(capsys):
     out = run_json(capsys, ["verify", "schottky-degeneration", "--genus", "1", "--seed", "3"])
     assert out["ok"] is True

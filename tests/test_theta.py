@@ -5,6 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+import thetastrata.theta as theta_module
 from thetastrata.chars import Characteristic, all_characteristics, concat, product_split_tuple, split
 from thetastrata.errors import CapExceededError
 from thetastrata.symplectic import SymplecticInteger, random_symplectic, standard_generators
@@ -19,6 +20,7 @@ from thetastrata.theta import (
     siegel_action,
     theta_constant,
     theta_function,
+    theta_functions,
     truncation_radius,
     truncation_tail_bound,
     validate_siegel,
@@ -247,35 +249,133 @@ class TestBatch:
         # x^T (Re form) x + 2 l^T x and its class of x mod 4; the half
         # enumeration (c = 0, l = 0) keeps only the x whose first nonzero
         # entry from the last coordinate down is positive.  The full
-        # ellipsoid's centre sits near a face, so the box clips it.
-        p = random_siegel_point(3, np.random.default_rng(90))
-        form = p.tau / 4
-        rows = form.tolist()
-        edge = 7
+        # ellipsoids' centres sit near a face, so the box clips them.
+        # Each call holds two problems with their own form, bound, edge,
+        # centre and shift.
+        forms = [random_siegel_point(3, np.random.default_rng(seed)).tau / 4 for seed in (90, 91)]
         origin = (0.0, 0.0, 0.0)
-        cases = [(9.5, origin, origin, True), (7.5, (5.3, -1.6, 2.45), (0.3, -0.7, 1.15), False)]
-        for bound, center, shift, half in cases:
+        calls = [
+            (True, [(9.5, 7, origin, origin), (6.5, 5, origin, origin)]),
+            (False, [(7.5, 7, (5.3, -1.6, 2.45), (0.3, -0.7, 1.15)),
+                     (5.0, 6, (-2.2, 0.4, -5.6), (-0.45, 0.1, 0.8))]),
+        ]
+        for half, problems in calls:
             expected = []
-            for x in itertools.product(range(-edge, edge + 1), repeat=3):
-                d = [xi - ci for xi, ci in zip(x, center)]
-                quad = sum(d[i] * rows[i][j].imag * d[j] for i in range(3) for j in range(3))
-                phase = sum(x[i] * rows[i][j].real * x[j] for i in range(3) for j in range(3))
-                phase += 2 * sum(li * xi for li, xi in zip(shift, x))
-                if (not half or next((v for v in reversed(x) if v), 0) >= 0) and quad <= bound:
-                    code = sum((v % 4) << (2 * j) for j, v in enumerate(x))
-                    expected.append((code, round(quad, 9), round(phase, 9)))
-            args = (form, bound, edge, np.array(center), np.array(shift), half)
+            for p, (form, (bound, edge, center, shift)) in enumerate(zip(forms, problems)):
+                rows = form.tolist()
+                size = 0
+                for x in itertools.product(range(-edge, edge + 1), repeat=3):
+                    d = [xi - ci for xi, ci in zip(x, center)]
+                    quad = sum(d[i] * rows[i][j].imag * d[j] for i in range(3) for j in range(3))
+                    phase = sum(x[i] * rows[i][j].real * x[j] for i in range(3) for j in range(3))
+                    phase += 2 * sum(li * xi for li, xi in zip(shift, x))
+                    if (not half or next((v for v in reversed(x) if v), 0) >= 0) and quad <= bound:
+                        code = sum((v % 4) << (2 * j) for j, v in enumerate(x))
+                        expected.append((p, code, round(quad, 9), round(phase, 9)))
+                        size += 1
+                assert 0 < size < (2 * edge + 1) ** 3 // 4
+            bounds, edges, centers, shifts = (np.array(column) for column in zip(*problems))
+            args = (np.array(forms), bounds, edges, centers, shifts, half)
             chunks = list(_ellipsoid(*args))
             assert len(chunks) == 1
-            q, phase, cls = chunks[0]
-            found = sorted(zip(cls.tolist(), np.round(q, 9).tolist(), np.round(phase, 9).tolist()))
+            prob, q, phase, cls = chunks[0]
+            found = sorted(zip(prob.tolist(), cls.tolist(), np.round(q, 9).tolist(), np.round(phase, 9).tolist()))
             assert found == sorted(expected)
-            assert 0 < len(found) < (2 * edge + 1) ** 3 // 4
+            assert np.all(np.diff(prob) >= 0)
             # chunking keeps the points and their order
             parts = list(_ellipsoid(*args, limit=50))
             assert len(parts) > 1
             for whole, pieces in zip(chunks[0], zip(*parts)):
                 assert np.array_equal(whole, np.concatenate(pieces))
+
+def _mixed_batch(g):
+    """(chars, zs, points) of one genus whose members differ in point,
+    characteristic (even and odd), z (some off zero) and box radius; at
+    genus 2 the far-centre point of test_theta_function_far_centre_against_oracle."""
+    if g == 2:
+        far = random_siegel_point(2, np.random.default_rng(12))
+        near = random_siegel_point(2, np.random.default_rng(7))
+        z_far = [0.35 + 1.9j, -0.15 - 1.2j]
+        members = [(far, "01|10", z_far), (near, "00|01", [0.3 - 0.2j, 0.1 + 0.4j]), (far, "11|11", z_far),
+                   (near, "10|00", [0, 0]), (validate_siegel(2j * np.eye(2)), "00|00", [0, 0])]
+    else:
+        generic = generic_siegel_point(4, 70)
+        other = random_siegel_point(4, np.random.default_rng(5))
+        members = [(generic, "0000|0110", [0, 0, 0, 0]),
+                   (generic, "1000|1000", np.array([0.3, -0.2, 0.1, 0.4]) + 0.2j * np.array([1, 0, -1, 0.5])),
+                   (other, "1011|0100", [0.1 - 0.3j, 0.2 - 0.3j, -0.3 - 0.3j, 0.05 - 0.3j]),
+                   (other, "0000|0000", [0, 0, 0, 0])]
+    chars = [Characteristic.from_string(code) for _, code, _ in members]
+    return chars, [np.array(z, dtype=complex) for *_, z in members], [point for point, *_ in members]
+
+
+class TestThetaFunctions:
+    @pytest.mark.parametrize("g", [2, 4])
+    def test_members_match_batch_of_one_and_oracle(self, g):
+        chars, zs, points = _mixed_batch(g)
+        batch = theta_functions(chars, zs, points, 1e-8)
+        assert len({tv.radius for tv in batch}) > 1
+        for m, z, p, tv in zip(chars, zs, points, batch):
+            assert tv == theta_function(m, z, p, 1e-8)  # bit for bit
+            rows = [[complex(x) for x in row] for row in p.tau]
+            ref = direct_theta_sum(m.eps, m.delta, list(z), rows, tv.radius)
+            assert abs(tv.value - ref) <= tv.tail_bound + 1e-13 * max(1, abs(ref))
+
+    @pytest.mark.parametrize("g", [2, 4])
+    def test_split_enumeration_gives_identical_values(self, g, monkeypatch):
+        chars, zs, points = _mixed_batch(g)
+        whole = theta_functions(chars, zs, points, 1e-8)
+        chunks = []
+        enumerate_all = theta_module._ellipsoid
+
+        def split(*args, limit):
+            for chunk in enumerate_all(*args, limit=50):
+                chunks.append(chunk[0])
+                yield chunk
+
+        monkeypatch.setattr(theta_module, "_ellipsoid", split)
+        assert theta_functions(chars, zs, points, 1e-8) == whole
+        # some problem's terms were spread over two chunks
+        assert any(set(a.tolist()) & set(b.tolist()) for a, b in zip(chunks, chunks[1:]))
+
+    def test_mixed_genera_rejected(self):
+        p1 = validate_siegel([[1j]])
+        p2 = validate_siegel(1j * np.eye(2))
+        m1, m2 = Characteristic.from_string("0|0"), Characteristic.from_string("00|00")
+        with pytest.raises(ValueError, match="genus"):
+            theta_functions([m2, m1], [[0, 0], [0]], [p2, p1], 1e-10)
+        assert theta_functions([], [], [], 1e-10) == []
+
+    def test_problem_without_points(self):
+        # the box |x|_inf <= 2 misses the ellipsoid of radius ~1 around
+        # (9, 9, 9): alone it yields nothing, beside a problem with points
+        # it adds none of its own
+        form = random_siegel_point(3, np.random.default_rng(90)).tau
+        far, near = np.array([9.0, 9.0, 9.0]), np.array([0.2, 0.1, 0.0])
+        assert list(_ellipsoid(form[None], np.array([0.5]), np.array([2]), far[None], np.zeros((1, 3)))) == []
+        chunks = list(_ellipsoid(np.array([form, form]), np.array([0.5, 3.0]), np.array([2, 2]),
+                                 np.array([far, near]), np.zeros((2, 3))))
+        assert len(chunks) == 1 and len(chunks[0][0]) > 0 and set(chunks[0][0].tolist()) == {1}
+
+    def test_sweep_size_batch_keeps_chunks_within_limit(self):
+        # the genus-4 generator sweep makes 11 generators x 136
+        # characteristics x 6 points x 2 theta constants = 17952 sums,
+        # more problems than the limit of points per chunk used here;
+        # every chunk stays within it and every problem keeps all its points
+        p = generic_siegel_point(4, 70)
+        n = 11 * 136 * 6 * 2
+        zeros = np.zeros((n, 4))
+        args = (np.broadcast_to(p.tau, (n, 4, 4)), np.full(n, 1.5), np.full(n, 5), zeros, zeros)
+        single = sum(len(q) for _, q, _, _ in _ellipsoid(*(a[:1] for a in args)))
+        counts = np.zeros(n, dtype=np.int64)
+        sizes = []
+        for prob, q, _, _ in _ellipsoid(*args, limit=4096):
+            sizes.append(len(q))
+            counts += np.bincount(prob, minlength=n)
+        assert single > 1
+        assert max(sizes) <= 4096
+        assert np.all(counts == single)
+
 
 class TestBlockDiag:
     def test_shape_and_lambda(self):
