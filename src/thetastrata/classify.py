@@ -221,7 +221,7 @@ def _basis_element(g: int, pairs: list[tuple[int, int]]) -> SymplecticModTwo:
     to pairs[j][0] and f_j = [0|unit_j] to pairs[j][1]: column j of it is
     the bits of pairs[j][0], column g + j those of pairs[j][1]."""
     columns = [code_bits(e, g) for e, _ in pairs] + [code_bits(f, g) for _, f in pairs]
-    linear = np.array(columns, dtype=object).T
+    linear = np.array(columns, dtype=np.int64).T
     return SymplecticModTwo._of(np.roll(linear, g, axis=(0, 1)))
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .chars import Characteristic, CharTuple, all_characteristics, product_split_tuple
 from .classify import classify
@@ -117,7 +118,9 @@ def _cmd_classify(args) -> int:
     return EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: built on first use, reused by run."""
     parser = argparse.ArgumentParser(
         prog="thetastrata",
         description="Theta constants, symplectic orbits, and the affine strata of genus-4 period matrices.",

@@ -178,9 +178,8 @@ def transformation_residuals(cases, target: float = 1e-10) -> list[float]:
             raise ValueError("genus mismatch among gamma, m, tau")
         chars += [affine_action(gamma.mod_two(), m), m]
         points += [siegel_action(gamma, point), point]
-        c = np.array(gamma.c, dtype=complex)
-        d = np.array(gamma.d, dtype=complex)
-        dets.append(complex(np.linalg.det(c @ point.tau + d)))
+        g, mat = gamma.genus, gamma.matrix.astype(complex)
+        dets.append(complex(np.linalg.det(mat[g:, :g] @ point.tau + mat[g:, g:])))
     values = theta_functions(chars, [np.zeros(point.genus) for point in points], points, target)
     residuals = []
     for det, moved, fixed in zip(dets, values[::2], values[1::2]):

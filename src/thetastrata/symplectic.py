@@ -1,10 +1,13 @@
 """The integer symplectic group as one matrix and its action on characteristics.
 
 An element of Sp(2g, Z) is one 2g x 2g matrix M = [[A, B], [C, D]] of
-exact Python ints with M^T J M = J, J = [[0, 1], [-1, 0]]; the blocks
-A, B, C, D are views of it.  Reduction mod 2 lands in Sp(2g, F2), where
-the same condition holds mod 2, and which acts on theta characteristics
-by the affine map
+exact Python ints (dtype=object, so long words never overflow) with
+M^T J M = J, J = [[0, 1], [-1, 0]]; the blocks A, B, C, D are views of it.
+Reduction mod 2 lands in Sp(2g, F2), held as int64 0/1 however it is
+built, where the same condition holds mod 2.  Every element is checked
+when built, products and inverses included, by one product M^T (J M):
+J M = [[C, D], [-A, -B]] is M's block rows swapped, one half negated.
+Sp(2g, F2) acts on theta characteristics by the affine map
 
     gamma . [eps|delta] = [[D, C], [B, A]] [eps; delta]
                           + [diag(C D^T); diag(A B^T)]   (mod 2).
@@ -31,7 +34,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from . import _gf2
-from .chars import Characteristic, CharTuple, all_characteristics, bits_code, code_parity
+from .chars import Characteristic, CharTuple, all_characteristics, code_parity
 from .errors import CapExceededError
 
 __all__ = [
@@ -57,23 +60,19 @@ def _as_matrix(rows) -> Matrix:
     return tuple(tuple(int(x) for x in row) for row in rows)
 
 
-def _exact(rows) -> np.ndarray:
-    """rows as a dtype=object array of Python ints, which no product overflows."""
-    return np.array(_as_matrix(rows), dtype=object)
-
-
 @cache
 def _form(g: int) -> np.ndarray:
     """J = [[0, 1], [-1, 0]] in g x g blocks."""
-    return _exact([[(j == i + g) - (i == j + g) for j in range(2 * g)] for i in range(2 * g)])
+    return np.array([[(j == i + g) - (i == j + g) for j in range(2 * g)] for i in range(2 * g)])
 
 
 class _Element:
-    """A symplectic matrix M = [[A, B], [C, D]], held as one 2g x 2g
-    dtype=object array `matrix`.  Every element is checked when built:
-    M^T J M = J, mod 2 for SymplecticModTwo, whose entries are 0/1."""
+    """A symplectic matrix M = [[A, B], [C, D]], held as one 2g x 2g array
+    `matrix` of the class's dtype.  Every element is checked when built:
+    M^T J M = J, mod 2 for SymplecticModTwo."""
 
     _modulo_two = False
+    _dtype = object  # Python ints, which no product overflows
 
     def __init__(self, genus: int, a, b, c, d):
         blocks = [_as_matrix(x) for x in (a, b, c, d)]
@@ -83,18 +82,19 @@ class _Element:
             if self._modulo_two and any(v not in (0, 1) for row in x for v in row):
                 raise ValueError(f"block {name} must have entries 0/1")
         a, b, c, d = blocks
-        self._set_matrix(_exact([p + q for p, q in zip(a + c, b + d)]))
+        self._set_matrix(np.array([p + q for p, q in zip(a + c, b + d)], dtype=self._dtype))
 
     @classmethod
     def _of(cls, matrix: np.ndarray):
         """The element with this matrix, reduced mod 2 for SymplecticModTwo."""
         out = object.__new__(cls)
-        out._set_matrix(matrix % 2 if cls._modulo_two else matrix)
+        out._set_matrix(np.asarray(matrix % 2 if cls._modulo_two else matrix, dtype=cls._dtype))
         return out
 
     def _set_matrix(self, m: np.ndarray) -> None:
-        g, j = len(m) // 2, _form(len(m) // 2)
-        residual = m.T @ j @ m - j
+        g = len(m) // 2
+        # J M = [[C, D], [-A, -B]], so the check is one product
+        residual = m.T @ np.concatenate((m[g:], -m[:g])) - _form(g)
         if (residual % 2 if self._modulo_two else residual).any():
             raise ValueError(f"not symplectic{' mod 2' if self._modulo_two else ''}: M^T J M != J")
         m.flags.writeable = False
@@ -105,7 +105,7 @@ class _Element:
 
     @classmethod
     def identity(cls, g: int):
-        return cls._of(_exact(np.identity(2 * g, dtype=int)))
+        return cls._of(np.identity(2 * g, dtype=np.int64))
 
     def __matmul__(self, other):
         if self.genus != other.genus:
@@ -154,15 +154,19 @@ class SymplecticModTwo(_Element):
     """An element of Sp(2g, F2) as one 0/1 matrix [[A, B], [C, D]]."""
 
     _modulo_two = True
+    _dtype = np.int64
 
     @cached_property
     def _affine(self) -> tuple[tuple[int, ...], int]:
         """The affine action on codes: the rows of [[D, C], [B, A]] (M with
         both halves swapped) and the shift [diag(C D^T); diag(A B^T)], each
-        packed as a code."""
+        packed as a code, eps_1 the highest bit: one product of M and its
+        row parities with the bit weights in swapped halves."""
         g, m = self.genus, self.matrix
-        shift = np.roll((m[:, :g] * m[:, g:]).sum(axis=1) % 2, g)
-        return tuple(bits_code(row) for row in np.roll(m, g, axis=(0, 1))), bits_code(shift)
+        weights = 1 << (g - 1 - np.arange(2 * g)) % (2 * g)  # 2^(g-1) .. 1, 2^(2g-1) .. 2^g
+        parities = (m[:, :g] * m[:, g:]).sum(axis=1) % 2
+        *codes, shift = (np.vstack((m, parities)) @ weights).tolist()
+        return tuple(codes[g:] + codes[:g]), shift
 
 
 def standard_generators(g: int) -> list[SymplecticInteger]:
@@ -180,10 +184,16 @@ def _generators(g: int) -> tuple[SymplecticInteger, ...]:
     gens = [SymplecticInteger._of(_form(g))]
     sym_elems = [(i, i) for i in range(g)] + [(i, j) for i in range(g) for j in range(i + 1, g)]
     for i, j in sym_elems:
-        m = np.identity(2 * g, dtype=int)
+        m = np.identity(2 * g, dtype=np.int64)
         m[i, g + j] = m[j, g + i] = 1
-        gens.append(SymplecticInteger._of(_exact(m)))
+        gens.append(SymplecticInteger._of(m))
     return tuple(gens)
+
+
+@cache
+def _letters(g: int) -> tuple[tuple[SymplecticInteger, SymplecticInteger], ...]:
+    """Each generator with its inverse: the letters of random_symplectic."""
+    return tuple((gen, gen.inverse()) for gen in _generators(g))
 
 
 def _coerce_mod_two(gamma) -> SymplecticModTwo:
@@ -307,8 +317,8 @@ def random_symplectic(g: int, word_length: int, seed: int) -> SymplecticInteger:
     rng = random.Random(seed)
     out = None
     for _ in range(word_length):
-        letter = rng.choice(_generators(g))
+        letter, inverse = rng.choice(_letters(g))
         if rng.random() < 0.5:
-            letter = letter.inverse()
+            letter = inverse
         out = letter if out is None else out @ letter
     return out

@@ -395,10 +395,8 @@ def siegel_action(gamma: SymplecticInteger, point: SiegelPoint) -> SiegelPoint:
     """
     if gamma.genus != point.genus:
         raise ValueError(f"genus mismatch: gamma has {gamma.genus}, point has {point.genus}")
-    a = np.array(gamma.a, dtype=complex)
-    b = np.array(gamma.b, dtype=complex)
-    c = np.array(gamma.c, dtype=complex)
-    d = np.array(gamma.d, dtype=complex)
+    g, m = gamma.genus, gamma.matrix.astype(complex)
+    a, b, c, d = m[:g, :g], m[:g, g:], m[g:, :g], m[g:, g:]
     denom = c @ point.tau + d
     det = complex(np.linalg.det(denom))
     if abs(det) < _DET_FLOOR:
@@ -412,6 +410,8 @@ def siegel_action(gamma: SymplecticInteger, point: SiegelPoint) -> SiegelPoint:
 def random_siegel_point(g: int, rng):
     """A seeded random point with Re uniform in [-0.4, 0.4] and Im = 1_g
     plus a symmetric perturbation scaled to keep lambda_min >= 0.5."""
+    if g < 1:
+        raise ValueError(f"genus must be >= 1, got {g}")
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
     w = rng.uniform(-1.0, 1.0, size=(g, g))
@@ -433,6 +433,8 @@ def generic_siegel_point(g: int, rng):
     (decomposable) shapes and -- since cusp forms decay exponentially in
     tr(Im tau) -- away from the cusp.
     """
+    if g < 1:
+        raise ValueError(f"genus must be >= 1, got {g}")
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
     a = rng.normal(size=(g, g))

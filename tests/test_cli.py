@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import thetastrata
 import thetastrata.cli as cli
 from thetastrata.theta import block_diag, point_to_json, random_siegel_point, validate_siegel
 
@@ -161,3 +166,33 @@ def test_missing_file_domain_error(capsys):
 def test_help_exits_zero(capsys):
     assert cli.run(["--help"]) == 0
     assert "thetastrata" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("genus", ["0", "-2"])
+def test_verify_bad_genus_is_domain_error(capsys, genus):
+    # a genus below 1 used to end in a ZeroDivisionError or numpy's
+    # "negative dimensions" traceback from random_siegel_point
+    assert cli.run(["verify", "schottky-degeneration", "--genus", genus, "--seed", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: genus must be >= 1")
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch):
+    # run reuses one parser; a call made after others, failed and
+    # help-printing ones included, prints what it prints alone in a
+    # fresh process
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    env = dict(os.environ, PYTHONPATH=str(Path(thetastrata.__file__).parents[1]))
+    verify = ["verify", "transformation", "--genus", "2", "--seed", "5", "--count", "3"]
+    calls = [verify, ["chars", "--genus", "2"], [*verify[:-1], "x"], ["--help"], verify]
+    in_process = []
+    for argv in calls:
+        code = cli.run(argv)
+        in_process.append((code, *capsys.readouterr()))
+    assert [code for code, _, _ in in_process] == [0, 0, 1, 0, 0]
+    assert "invalid int value: 'x'" in in_process[2][2]
+    for argv, got in zip(calls, in_process):
+        alone = subprocess.run([sys.executable, "-m", "thetastrata.cli", *argv], env=env,
+                               capture_output=True, text=True, check=False)
+        assert got == (alone.returncode, alone.stdout, alone.stderr)

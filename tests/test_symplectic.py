@@ -1,9 +1,21 @@
+import hashlib
 import itertools
+import json
 import random
+from collections import deque
 
+import numpy as np
 import pytest
 
-from thetastrata.chars import Characteristic, CharTuple, all_characteristics, parity, product_split_tuple
+from thetastrata.chars import (
+    Characteristic,
+    CharTuple,
+    all_characteristics,
+    bits_code,
+    parity,
+    product_split_tuple,
+)
+from thetastrata.classify import _basis_element
 from thetastrata.errors import CapExceededError
 from thetastrata.symplectic import (
     OrbitProfile,
@@ -17,6 +29,7 @@ from thetastrata.symplectic import (
     standard_generators,
     tuples_equivalent,
 )
+from thetastrata.verify import transformation_check
 
 from oracles import block_inverse, block_product, integer_generators, is_symplectic, word_fold
 
@@ -44,6 +57,85 @@ def test_symplectic_invariant_enforced():
         SymplecticInteger(1, ((1,),), ((1,),), ((1,),), ((1,),))
     with pytest.raises(ValueError, match="not symplectic"):
         SymplecticModTwo(2, *(tuple(tuple(1 for _ in range(2)) for _ in range(2)),) * 4)
+
+
+def test_integer_check_bites_on_every_constructor():
+    # diag(A, D) is symplectic iff A^T D = 1; A = [[1, 1], [0, 1]], D = 1 is not
+    a, zero, one = ((1, 1), (0, 1)), ((0, 0), (0, 0)), ((1, 0), (0, 1))
+    with pytest.raises(ValueError, match="not symplectic: "):
+        SymplecticInteger(2, a, zero, zero, one)
+    matrix = np.array([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], dtype=object)
+    with pytest.raises(ValueError, match="not symplectic: "):
+        SymplecticInteger._of(matrix)
+    # diag(3, 1) is the identity mod 2 but not symplectic over Z
+    with pytest.raises(ValueError, match="not symplectic: "):
+        SymplecticInteger(1, ((3,),), ((0,),), ((0,),), ((1,),))
+    assert SymplecticModTwo._of(np.array([[3, 0], [0, 1]])) == SymplecticModTwo.identity(1)
+
+
+def test_mod_two_check_bites_on_every_constructor():
+    # A = [[1, 1], [0, 1]], D = 1 stays non-symplectic mod 2 (A^T D = A)
+    a, zero, one = ((1, 1), (0, 1)), ((0, 0), (0, 0)), ((1, 0), (0, 1))
+    with pytest.raises(ValueError, match="not symplectic mod 2"):
+        SymplecticModTwo(2, a, zero, zero, one)
+    with pytest.raises(ValueError, match="not symplectic mod 2"):
+        SymplecticModTwo._of(np.array([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]))
+    # a basis whose two pairs repeat one plane is no symplectic basis
+    e, f = Characteristic.from_string("10|00").code, Characteristic.from_string("00|10").code
+    assert _basis_element(2, [(e, f), (Characteristic.from_string("01|00").code,
+                                       Characteristic.from_string("00|01").code)]) == SymplecticModTwo.identity(2)
+    with pytest.raises(ValueError, match="not symplectic mod 2"):
+        _basis_element(2, [(e, f), (e, f)])
+
+
+def test_mod_two_elements_are_one_representation():
+    gamma = random_symplectic(3, 6, 11)
+    reduced = gamma.mod_two()
+    g, m = 3, reduced.matrix
+    # every way of building the same element of Sp(6, F2)
+    e_rows = [bits_code(row) for row in np.roll(m, g, axis=(0, 1))[:, :g].T]
+    f_rows = [bits_code(row) for row in np.roll(m, g, axis=(0, 1))[:, g:].T]
+    built = [
+        reduced,
+        SymplecticModTwo(g, m[:g, :g], m[:g, g:], m[g:, :g], m[g:, g:]),
+        SymplecticModTwo._of(gamma.matrix),
+        SymplecticModTwo._of(np.array(m.tolist(), dtype=object)),
+        SymplecticModTwo._of(m.astype(np.int32) + 2),
+        reduced @ SymplecticModTwo.identity(g),
+        reduced.inverse().inverse(),
+        SymplecticModTwo.from_json(reduced.to_json()),
+        _basis_element(g, list(zip(e_rows, f_rows))),
+    ]
+    assert all(x.matrix.dtype == np.int64 for x in built)
+    assert SymplecticModTwo.identity(g).matrix.dtype == np.int64
+    assert all(x == reduced and hash(x) == hash(reduced) for x in built)
+    assert len(set(built)) == 1
+    assert all(type(x) is SymplecticModTwo for x in built)
+    assert gamma.matrix.dtype == object and all(type(x) is int for x in gamma.matrix.flat)
+
+
+def _bits_code_affine(reduced):
+    """The affine action's row and shift codes by bits_code on M with both
+    halves swapped."""
+    g, m = reduced.genus, reduced.matrix
+    shift = np.roll((m[:, :g] * m[:, g:]).sum(axis=1) % 2, g)
+    return tuple(bits_code(row) for row in np.roll(m, g, axis=(0, 1))), bits_code(shift)
+
+
+def test_affine_codes_match_bits_code_on_all_of_sp4_f2():
+    gens = [gen.mod_two() for gen in standard_generators(2)]
+    start = SymplecticModTwo.identity(2)
+    seen, frontier = {start}, deque([start])
+    while frontier:
+        current = frontier.popleft()
+        for gen in gens:
+            image = current @ gen
+            if image not in seen:
+                seen.add(image)
+                frontier.append(image)
+    assert len(seen) == 720  # |Sp(4, F2)| = |S_6|
+    for reduced in seen:
+        assert reduced._affine == _bits_code_affine(reduced)
 
 
 def test_inverse_and_composition():
@@ -285,6 +377,37 @@ def test_random_symplectic_equals_oracle_fold(g):
             assert is_symplectic(expected)
             gamma = random_symplectic(g, word_length, seed)
             assert gamma.to_json() == dict(zip("ABCD", expected))
+
+
+def _digest(items):
+    h = hashlib.sha256()
+    for item in items:
+        h.update(json.dumps(item, sort_keys=True).encode() + b"\n")
+    return h.hexdigest()
+
+
+def _rows(gamma):
+    return [[int(x) for x in row] for row in gamma.matrix]
+
+
+# digests of the words and suites as drawn before the generator inverses
+# were built once per genus: the same draws give the same work
+PERFBENCH_WORD_SEEDS = (6003, 6011, 6018, 6023, 6024, 6038, 6039, 6054, 6057, 6065, 6075)
+
+
+def test_perfbench_words_pinned():
+    words = (random_symplectic(4, 6, s) for s in PERFBENCH_WORD_SEEDS)
+    assert _digest(map(_rows, words)) == "addc28e528d4ee1c9a162b6b604413e860ceae0348d4682134c9a5d574a19d91"
+
+
+def test_random_symplectic_sweep_pinned():
+    words = (random_symplectic(g, n, s) for g in range(1, 5) for n in range(1, 31) for s in range(10))
+    assert _digest(map(_rows, words)) == "a32991cbe1bbc2040e4a033658bbdad15a2cf9b13136d9d0ff893e20e625149d"
+
+
+def test_transformation_check_pinned():
+    reports = (transformation_check(4, s, 10) for s in (1, 2, 3))
+    assert _digest(reports) == "1b8c68d95cc7477e94abe550137460b276d27fd3b7aae756575e55d44406fdbd"
 
 
 def test_long_products_stay_exact():
