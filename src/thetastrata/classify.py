@@ -54,9 +54,9 @@ from .chars import (
     product_split_tuple,
     swap,
 )
-from .forms import evaluate_forms
+from .forms import _forms
 from .symplectic import SymplecticModTwo, act_on_tuple
-from .theta import SiegelPoint, even_theta_constants
+from .theta import SiegelPoint, _even_constants, even_theta_constants
 
 __all__ = [
     "VanishingSet",
@@ -70,6 +70,10 @@ __all__ = [
 
 MARGIN_FLOOR = 10.0
 THETA_TARGET = 1e-12  # truncation bound of every theta constant classify sums
+# truncation bound of the first pass on the inner ellipsoid: on generic
+# points F_T sits orders of magnitude above the threshold and every
+# constant far from it, so this pass already certifies X0 there
+COARSE_TARGET = 1e-6
 _MIX = np.uint64(0x9E3779B97F4A7C15)  # odd; folds a row of uint64 words into one
 
 
@@ -78,7 +82,9 @@ class VanishingSet:
     """Even characteristics with |theta_m| below rel_threshold * scale.
 
     margin = (smallest surviving relative magnitude) / (largest vanishing
-    one); a margin under 10 flags an ill-separated spectrum.
+    one, floored at the values' truncation bound over scale): a vanishing
+    magnitude below that bound is summation noise, which moves with the
+    order of summation; a margin under 10 flags an ill-separated spectrum.
     """
 
     members: tuple[Characteristic, ...]
@@ -110,23 +116,22 @@ def vanishing_set(
     _check_threshold(rel_threshold)
     if constants is None:
         constants = even_theta_constants(point, THETA_TARGET)
-    mags = {m: abs(tv.value) for m, tv in constants.items()}
-    scale = max(mags.values())
+    values = np.array([tv.value for tv in constants.values()])
+    return _vanishing(list(constants), values, max(tv.tail_bound for tv in constants.values()), rel_threshold)
+
+
+def _vanishing(chars, values: np.ndarray, truncation: float, rel_threshold: float) -> VanishingSet:
+    """vanishing_set on the values of chars, summed to the given
+    truncation bound."""
+    rel = np.abs(values)
+    scale = float(rel.max())
     if scale == 0:
         raise ValueError("all even theta constants evaluated to zero; invalid point")
-    vanishing, surviving = [], []
-    for m, val in mags.items():
-        (vanishing if val / scale < rel_threshold else surviving).append((m, val / scale))
-    if vanishing:
-        margin = min(v for _, v in surviving) / max(max(v for _, v in vanishing), 5e-324)
-    else:
-        margin = float("inf")
-    return VanishingSet(
-        tuple(m for m, _ in vanishing),
-        scale,
-        margin,
-        bool(vanishing) and margin < MARGIN_FLOOR,
-    )
+    rel /= scale
+    low = rel < rel_threshold
+    members = tuple(m for m, flag in zip(chars, low) if flag)
+    margin = float(rel[~low].min() / max(rel[low].max(), truncation / scale)) if members else float("inf")
+    return VanishingSet(members, scale, margin, bool(members) and margin < MARGIN_FLOOR)
 
 
 @dataclass(frozen=True)
@@ -304,6 +309,7 @@ class StratumReport:
     vanishing: tuple[Characteristic, ...]
     splits: tuple[SplitWitness, ...]
     threshold: float
+    theta_target: float | None  # truncation target behind form_magnitudes and margin
     margin: float
     warnings: tuple[str, ...]
     notes: tuple[str, ...]
@@ -315,6 +321,7 @@ class StratumReport:
             "vanishing": [str(m) for m in self.vanishing],
             "splits": [w.to_json() for w in self.splits],
             "threshold": self.threshold,
+            "theta_target": self.theta_target,
             "margin": self.margin,
             "warnings": list(self.warnings),
             "notes": list(self.notes),
@@ -383,20 +390,62 @@ def classify(
     resolved by the detect_split witnesses for k = 1 and 2 plus the size of
     the vanishing set, all Sp(8,Z)-invariant, so every representative of
     a point gets the same label by the same rule.
+
+    The constants come from one walk (theta._even_constants): first the
+    inner ellipsoid cut for COARSE_TARGET, then, only when _certified_x0
+    cannot certify X0 from those values, the shell out to THETA_TARGET.
+    The report's theta_target names the pass its forms and margin come
+    from; the label, vanishing set and splits are those the full pass
+    gives.
     """
     if point.genus != 4:
         raise ValueError(f"classify requires genus 4, got {point.genus}")
     _check_threshold(rel_threshold)
-    constants = even_theta_constants(point, THETA_TARGET)
-    forms = evaluate_forms(point, THETA_TARGET, constants=constants)
-    mags = {fid: fv.relative_magnitude for fid, fv in forms.items()}
-    vrep = vanishing_set(point, rel_threshold, constants=constants)
+    passes = _even_constants(point, THETA_TARGET, COARSE_TARGET)
+    values, truncation, rounding, _ = next(passes)
+    theta_target = COARSE_TARGET
+    if not _certified_x0(values, truncation + rounding, rel_threshold, point.genus):
+        values, truncation, _, _ = next(passes)
+        theta_target = THETA_TARGET
+    passes.close()
+    mags = {fid: fv.relative_magnitude for fid, fv in _forms(values, point.genus).items()}
+    vrep = _vanishing(all_characteristics(4, "even"), values, truncation, rel_threshold)
     warnings = ()
     if vrep.warning:
         warnings = (f"ill-separated vanishing spectrum: margin {vrep.margin:.3g} < {MARGIN_FLOOR}",)
     notes: list[str] = []
     label, splits = _decide(mags["FT"] >= rel_threshold, vrep.members, notes)
-    return StratumReport(label, mags, vrep.members, splits, rel_threshold, vrep.margin, warnings, tuple(notes))
+    return StratumReport(label, mags, vrep.members, splits, rel_threshold, theta_target, vrep.margin,
+                         warnings, tuple(notes))
+
+
+def _certified_x0(values: np.ndarray, error: float, rel_threshold: float, g: int) -> bool:
+    """Whether the full pass is certain to find F_T surviving and no
+    constant vanishing, when each of `values` lies within `error` of the
+    full pass's value of its constant.
+
+    Write x = |v| for the given values and w for the full pass's.  A
+    constant vanishes there when |w_m| < thr max|w|; as |w_m| >= x_m - e
+    and max|w| <= max x + e, none does if x_m - e >= thr (max x + e) for
+    every m.  F_T = 2^g sum v^16 - (sum v^8)^2 survives there when
+    |F(w)| >= thr N(w), N(w) = sum |w|^16 + (sum |w|^8)^2.  With
+    P(x) = 2^g sum x^16 + (sum x^8)^2 and |a^n - b^n| <= (|b| + e)^n - |b|^n
+    for |a - b| <= e, |F(w) - F(v)| <= D = P(x + e) - P(x), and
+    N(w) <= N(x + e) <= N(x) + D, N having the terms of P with smaller
+    coefficients.  So F_T survives if |F(v)| - D >= thr (N(x) + D).  D also
+    carries (4 |E| + 64) u P(x + e), which covers the rounding of
+    evaluating F_T and its normalizer, here and in the full pass.
+    Everything is scaled by max x first; the test is homogeneous.
+    """
+    scale = float(np.abs(values).max())
+    x, e = np.abs(values) / scale, error / scale
+    if (x - e < rel_threshold * (1 + e)).any():
+        return False
+    t8, x8, w8 = (values / scale) ** 8, x**8, (x + e) ** 8
+    f = abs(2**g * (t8 * t8).sum() - t8.sum() ** 2)
+    wide = 2**g * (w8 * w8).sum() + w8.sum() ** 2
+    delta = wide - 2**g * (x8 * x8).sum() - x8.sum() ** 2 + (4 * len(values) + 64) * np.finfo(float).eps / 2 * wide
+    return bool(f - delta >= rel_threshold * ((x8 * x8).sum() + x8.sum() ** 2 + delta))
 
 
 def classify_from_pattern(ft_vanishes: bool, vanishing=()) -> StratumReport:
@@ -417,4 +466,4 @@ def classify_from_pattern(ft_vanishes: bool, vanishing=()) -> StratumReport:
         raise ValueError("vanishing set members must have genus 4")
     notes = [f"synthetic pattern: FT={'0' if ft_vanishes else 'nonzero'}"]
     label, splits = _decide(not ft_vanishes, members, notes)
-    return StratumReport(label, {}, members, splits, 0.0, float("inf"), (), tuple(notes))
+    return StratumReport(label, {}, members, splits, 0.0, None, float("inf"), (), tuple(notes))

@@ -111,7 +111,12 @@ def evaluate_forms(point: SiegelPoint, target: float = 1e-10, constants=None) ->
         raise ValueError(f"forms are capped at genus {FORM_GENUS_CAP}, got {g}")
     if constants is None:
         constants = even_theta_constants(point, target)
-    values = np.array([tv.value for tv in constants.values()])
+    return _forms(np.array([tv.value for tv in constants.values()]), g)
+
+
+def _forms(values: np.ndarray, g: int) -> dict[str, FormValue]:
+    """The three forms from the even theta constants of genus g, in
+    all_characteristics(g, "even") order."""
     s = math.sqrt(float((np.abs(values) ** 2).mean()))
     t = values / s
     n = len(t)

@@ -34,8 +34,17 @@ theta_functions sums a batch of (m, z, tau) in one walk (theta_function
 and theta_constant are its batch of one); even_theta_constants is a
 walk of one problem.
 
-Arithmetic is double precision; the tail bound covers truncation only,
-not the ~1e-15-per-term floating point floor.
+The walk can also split each ellipsoid at an inner cut C' < C: the near
+points q <= C' first, a marker, then the far points, all from the same
+last-level parents, so the two parts are exactly the uncut walk.
+_even_constants yields the constants of the inner ellipsoid, cut for a
+coarse target at the same box radius, before it adds the shell;
+classify stops there when those values already decide its label.
+
+Arithmetic is double precision.  The tail bound of a ThetaValue covers
+truncation only, not the ~1e-15-per-term floating point floor;
+_even_constants also bounds the rounding of its sums, by
+(N + c) u sum|terms| over the N points summed (its docstring derives c).
 """
 
 from __future__ import annotations
@@ -183,10 +192,15 @@ def _truncation(point: SiegelPoint, target: float, z_im: float = 0.0, lift: floa
     L), widened past the rounding of the enumeration's Cholesky sums."""
     radius = truncation_radius(point, target, z_im)
     tail = truncation_tail_bound(point.genus, point.lambda_min, radius, z_im)
-    n_box = (2 * radius + 1) ** point.genus
+    return (radius, *_cut((2 * radius + 1) ** point.genus, tail, target, lift))
+
+
+def _cut(n_box: int, tail: float, target: float, lift: float = 0.0):
+    """(tail_bound, bound) of the points q <= C + lift of a box of n_box
+    points whose tail is `tail`, with C chosen for `target`."""
     cut = math.log(2 * n_box / (target - tail)) / math.pi
     dropped = n_box * math.exp(-math.pi * cut) * (1 + 1e-12)  # padded past float rounding
-    return radius, tail + dropped, (cut + lift) * (1 + _CUT_SLACK)
+    return tail + dropped, (cut + lift) * (1 + _CUT_SLACK)
 
 
 def theta_functions(chars, zs, points, target: float) -> list[ThetaValue]:
@@ -247,7 +261,23 @@ def theta_constant(m: Characteristic, point: SiegelPoint, target: float) -> Thet
 
 def even_theta_constants(point: SiegelPoint, target: float) -> dict[Characteristic, ThetaValue]:
     """All even theta constants at one point, from one pass over the
-    lattice points whose terms can matter.
+    lattice points whose terms can matter, keyed by characteristic: the
+    values of _even_constants with their truncation bound (not the
+    rounding bound) and the box radius."""
+    values, tail_bound, _, radius = next(_even_constants(point, target))
+    return {m: ThetaValue(complex(v), tail_bound, radius) for m, v in zip(_even_tables(point.genus)[0], values)}
+
+
+def _even_constants(point: SiegelPoint, target: float, coarse: float | None = None):
+    """Yield (values, truncation, rounding, radius) of the even theta
+    constants at one point: values in all_characteristics(g, "even")
+    order, bounds of their truncation and rounding errors, and the box
+    radius R for target.  With a coarse target above target it yields
+    twice: first the sums over the inner ellipsoid cut for coarse at the
+    same R, whose bounds also cover the second yield's, so that their sum
+    bounds the distance between the two yields; then the sums with the
+    far points added.  A consumer that closes the generator after the
+    first yield never builds the far points.
 
     In m = 2p = 2n + eps the boxes |n|_inf <= R of all eps classes fill
     the integer box [-2R, 2R+1]^g, and m mod 4 holds both eps (bit 0 of
@@ -259,28 +289,78 @@ def even_theta_constants(point: SiegelPoint, target: float) -> dict[Characterist
     theta_function at z = 0.  The terms of m and -m are equal, and on even
     characteristics their classes carry the same weight (m . delta is
     even), so the enumeration visits half of the ellipsoid and counts each
-    term twice.  It runs over |m|_inf <= 2R+1, the box and its mirror
+    term twice.  It runs over |m|_inf <= E = 2R+1, the box and its mirror
     image; the few terms this adds beyond the box are series terms, which
-    leave the bound intact.  radius is the box radius R.
+    leave the bound intact.
+
+    Rounding.  Let u be the unit roundoff, Im(tau/4) = L L^T, S = Re(tau/4)
+    and l = lambda_min / 4, so a point m has |m|_inf^2 <= q / l.  Its q is
+    a sum of g squares of partial sums sum_{j>=i} L_ji m_j, each formed in
+    g+2 operations from products of total modulus at most sum_j |L_ji|
+    |m|_inf, so q carries an error of at most
+    (3(g+2) (sum|L|)^2 / l + g+1) q u; its phase m^T S m is a sum of
+    products of total modulus at most sum|S| q / l, with error at most
+    (2g+2) sum|S| q / l u.  So the term s cos(pi phase), s = 2 exp(-pi q),
+    and the same with sin, is within (4 + a q) u s of the exact one, with
+    a = pi (3(g+2) (sum|L|)^2 / l + g+2 + (2g+3) sum|S| / l).  A constant
+    is a recursive sum of its terms (one bincount per chunk, added onto the
+    running class sums) combined over 2^g classes with weights +-1, +-i, so
+    with N the points summed plus the chunks its rounding error is at most
+    ((N + 2^g + 5) sum s + a sum s q) u, to first order in u; the factor
+    1 + 1e-6 covers the rest while N u stays below 1e-7.  The first yield's
+    rounding adds this bound for the second yield, taken a priori: at most
+    the half box, ((2E+1)^g + 1) / 2 points and as many chunks, each far
+    term of modulus below 2 exp(-pi C_coarse) (1 + 1e-9) and q <= C.
     """
     g = point.genus
-    radius, tail_bound, bound = _truncation(point, target)
-    evens, bins, weights = _even_tables(g)
+    radius = truncation_radius(point, target)
+    tail = truncation_tail_bound(g, point.lambda_min, radius)
+    edge = 2 * radius + 1
+    tail_bound, bound = _cut(edge**g, tail, target)
+    form = point.tau / 4
+    inner = None
+    if coarse is not None:
+        coarse_bound, inner_cut = _cut(edge**g, tail, coarse)
+        inner = np.array([inner_cut])
+    slope = (3 * (g + 2) * np.abs(np.linalg.cholesky(form.imag)).sum() ** 2
+             + (2 * g + 3) * np.abs(form.real).sum()) / (point.lambda_min / 4)
+    slope = math.pi * (slope + g + 2)
+    unit = np.finfo(float).eps / 2
+
+    def rounding(n_terms, mass, q_mass):
+        return ((n_terms + 2**g + 5) * mass + slope * q_mass) * unit * (1 + 1e-6)
+
+    _, bins, weights = _even_tables(g)
     sums = np.zeros(4**g, dtype=complex)
+    mass, q_mass, n_terms = 0.0, 0.0, 0
     origin = np.zeros((1, g))
-    for _, q, phase, cls in _ellipsoid((point.tau / 4)[None], np.array([bound]), np.array([2 * radius + 1]),
-                                       origin, origin, half=True):
+
+    def folded():
+        classes = sums.copy()
+        classes[0] -= 1  # m = 0 is its own mirror image: its term 1 went in twice
+        return (weights * classes[bins]).sum(axis=1)
+
+    for chunk in _ellipsoid(form[None], np.array([bound]), np.array([edge]), origin, origin,
+                            half=True, inner=inner):
+        if chunk is None:
+            n_half = ((2 * edge + 1) ** g + 1) // 2
+            far_mass = n_half * 2 * math.exp(-math.pi * inner_cut) * (1 + 1e-9)
+            ahead = rounding(2 * n_half, mass + far_mass, q_mass + far_mass * bound)
+            yield folded(), coarse_bound + tail_bound, rounding(n_terms, mass, q_mass) + ahead, radius
+            continue
+        _, q, phase, cls = chunk
         size = 2 * np.exp(-np.pi * q)
         angle = np.pi * phase
         sums += np.bincount(cls, size * np.cos(angle), 4**g)
         sums += 1j * np.bincount(cls, size * np.sin(angle), 4**g)
-    sums[0] -= 1  # m = 0 is its own mirror image: its term 1 went in twice
-    values = (weights * sums[bins]).sum(axis=1)
-    return {m: ThetaValue(complex(v), tail_bound, radius) for m, v in zip(evens, values)}
+        mass += float(size.sum())
+        q_mass += float(size @ q)
+        n_terms += len(q) + 1  # one more addition per chunk
+    yield folded(), tail_bound, rounding(n_terms, mass, q_mass), radius
 
 
 def _ellipsoid(forms: np.ndarray, bounds, edges, centers, shifts, half: bool = False,
-               limit: int = _ELLIPSOID_CHUNK):
+               limit: int = _ELLIPSOID_CHUNK, inner=None):
     """Yield (prob, q, phase, cls) arrays, in chunks of about `limit`, over
     P problems of one genus given by stacked forms (P, g, g), bounds and
     edges (P,) and centers and shifts (P, g).  Problem p holds the
@@ -296,6 +376,16 @@ def _ellipsoid(forms: np.ndarray, bounds, edges, centers, shifts, half: bool = F
     when center = 0 and shift = 0, where x and -x carry the same q and
     phase.
 
+    With inner (P,), inner <= bounds, every near point comes first, then
+    a None marker, then the far points: at the last level each parent's
+    x_0 interval [first, last] holds the sub-interval of q <= inner[p],
+    taken from the same mid, q and L_00, so it lies inside [first, last].  The near
+    chunks run over that sub-interval; the parents are kept, and after
+    the marker the far chunks run over the rest of their intervals.  So
+    the near and far points together are exactly the points of the walk
+    without inner, and a consumer that closes the generator at the marker
+    never builds the far ones.
+
     Fincke-Pohst: with Im form = L L^T,
     q = sum_i (sum_{j>=i} L_ji (x_j - center_j))^2, so once x_{i+1}, ...,
     x_{g-1} are fixed, x_i runs over an interval.  Each array is built up
@@ -308,6 +398,20 @@ def _ellipsoid(forms: np.ndarray, bounds, edges, centers, shifts, half: bool = F
     table = np.concatenate([pull, shifts, chol.reshape(n_prob, -1), forms.real.reshape(n_prob, -1),
                             bounds[:, None], edges[:, None]], axis=1)
     tables = [table[:, columns] for columns in _level_columns(g)]
+    kept = []  # the last level's parents and their near runs, for the far points
+
+    def children(first, count, per_parent, parents, i):
+        # the points first[k], ..., first[k] + count[k] - 1 of each run k,
+        # as (new, prob, q, phase, cls); parent j has per_parent[j] of them
+        mid, lin, diag, re_ii, q, phase, cls, prob = parents
+        new = (first - (np.cumsum(count) - count)).repeat(count) + np.arange(int(count.sum()))
+        if prob[0] == prob[-1]:  # one problem: its coefficients broadcast
+            diag, re_ii = diag[:1], re_ii[:1]
+        else:
+            diag, re_ii = diag.repeat(per_parent), re_ii.repeat(per_parent)
+        q = q.repeat(per_parent) + (diag * (new - mid.repeat(per_parent))) ** 2
+        phase = phase.repeat(per_parent) + new * (re_ii * new + (2 * lin).repeat(per_parent))
+        return new, prob.repeat(per_parent), q, phase, cls.repeat(per_parent) + ((new & 3) << (2 * i))
 
     def expand(cols, zero, q, phase, cls, prob, i):
         # cols holds x_{g-1}, ..., x_{i+1}; zero marks an all-zero prefix;
@@ -317,8 +421,9 @@ def _ellipsoid(forms: np.ndarray, bounds, edges, centers, shifts, half: bool = F
             mid -= coef[k] * col
             lin += coef[len(cols) + k] * col
         mid /= diag
+        low = np.where(zero, 0, -edge)
         half_width = np.sqrt(np.maximum(bound - q, 0.0)) / diag
-        first = np.maximum(np.ceil(mid - half_width), np.where(zero, 0, -edge)).astype(np.int64)
+        first = np.maximum(np.ceil(mid - half_width), low).astype(np.int64)
         count = np.maximum(np.minimum(np.floor(mid + half_width), edge).astype(np.int64) - first + 1, 0)
         total = int(count.sum())
         if not total:
@@ -329,24 +434,39 @@ def _ellipsoid(forms: np.ndarray, bounds, edges, centers, shifts, half: bool = F
                 yield from expand([col[part] for col in cols], zero[part], q[part], phase[part],
                                   cls[part], prob[part], i)
             return
-        new = (first - (np.cumsum(count) - count)).repeat(count) + np.arange(total)
-        if prob[0] == prob[-1]:  # one problem: its coefficients broadcast
-            diag, re_ii = diag[:1], re_ii[:1]
-        else:
-            diag, re_ii = diag.repeat(count), re_ii.repeat(count)
-        q = q.repeat(count) + (diag * (new - mid.repeat(count))) ** 2
-        phase = phase.repeat(count) + new * (re_ii * new + (2 * lin).repeat(count))
-        cls = cls.repeat(count) + ((new & 3) << (2 * i))
-        prob = prob.repeat(count)
-        del mid, lin, diag, re_ii, bound, edge, coef, half_width, first  # free the parents' table
+        parents = (mid, lin, diag, re_ii, q, phase, cls, prob)
+        if i == 0 and inner is not None:
+            # inner <= bound, and every step below is monotone in it, so the
+            # near run starts at or after first and ends at or before the
+            # last point; it is empty where its end falls before its start
+            half_width = np.sqrt(np.maximum(inner.take(prob) - q, 0.0)) / diag
+            skip = np.minimum(np.maximum(np.ceil(mid - half_width), low).astype(np.int64) - first, count)
+            near = np.maximum(np.minimum(np.floor(mid + half_width), edge).astype(np.int64) - first - skip + 1, 0)
+            kept.append((first, skip, near, count, parents))
+            if near.any():
+                yield children(first + skip, near, near, parents, 0)[1:]
+            return
+        new, prob, q, phase, cls = children(first, count, count, parents, i)
+        del mid, lin, diag, re_ii, bound, edge, coef, half_width, first, parents  # free the parents' table
         if i == 0:
             yield prob, q, phase, cls
         else:
             cols = [col.repeat(count) for col in cols] + [new]
             yield from expand(cols, zero.repeat(count) & (new == 0), q, phase, cls, prob, i - 1)
 
-    yield from expand([], np.full(n_prob, half), np.zeros(n_prob), np.zeros(n_prob),
-                      np.zeros(n_prob, dtype=np.int64), np.arange(n_prob), g - 1)
+    try:
+        yield from expand([], np.full(n_prob, half), np.zeros(n_prob), np.zeros(n_prob),
+                          np.zeros(n_prob, dtype=np.int64), np.arange(n_prob), g - 1)
+        if inner is not None:
+            yield None
+            while kept:
+                first, skip, near, count, parents = kept.pop(0)
+                far = count - near
+                if far.any():  # per parent, the run before its near run and the one after it
+                    runs = np.stack([first, first + skip + near], axis=1).ravel()
+                    yield children(runs, np.stack([skip, far - skip], axis=1).ravel(), far, parents, 0)[1:]
+    finally:
+        kept.clear()  # expand's closure is a reference cycle: it would hold the parents until the next collection
 
 
 @cache

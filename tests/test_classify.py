@@ -1,5 +1,6 @@
 import importlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -16,9 +17,14 @@ from thetastrata.chars import (
     split,
 )
 from thetastrata.classify import (
+    COARSE_TARGET,
+    MARGIN_FLOOR,
     THETA_TARGET,
     _LABELS,
+    StratumReport,
     _basis_element,
+    _certified_x0,
+    _decide,
     _plane_table,
     _symplectic_basis,
     classify,
@@ -26,14 +32,17 @@ from thetastrata.classify import (
     detect_split,
     vanishing_set,
 )
+from thetastrata.forms import _forms, evaluate_forms
 from thetastrata.symplectic import act_on_tuple, random_symplectic, tuples_equivalent
 from thetastrata.theta import (
+    _even_constants,
     block_diag,
     even_theta_constants,
     generic_siegel_point,
     point_to_json,
     random_siegel_point,
     siegel_action,
+    truncation_radius,
     validate_siegel,
 )
 
@@ -140,9 +149,17 @@ class TestThreshold:
         def no_theta(*args):
             raise AssertionError("theta constants summed before the threshold check")
 
-        monkeypatch.setattr(importlib.import_module("thetastrata.classify"), "even_theta_constants", no_theta)
+        def no_theta_passes(*args):
+            # a generator function: its first next(), not its call, sums
+            no_theta()
+            yield
+
+        module = importlib.import_module("thetastrata.classify")
+        monkeypatch.setattr(module, "_even_constants", no_theta_passes)
         with pytest.raises(ValueError, match="got nan"):
             classify(generic_siegel_point(4, 1), rel_threshold=float("nan"))
+        with pytest.raises(AssertionError, match="before the threshold check"):
+            classify(generic_siegel_point(4, 1))
 
     def test_one_is_allowed(self):
         # every constant but the largest lies below the whole scale
@@ -663,3 +680,205 @@ class TestClassifyFromPattern:
             assert pattern.label == rep.label
             assert [(w.k, w.found) for w in pattern.splits] == [(w.k, w.found) for w in rep.splits]
             assert pattern.notes[1:] == rep.notes
+
+
+# The perfbench plans of the generic, strata and split22 workloads, rebuilt
+# from the same generators: kind -> (block sizes or None for a generic
+# point, [(seed of the Sp(8,Z) word, radius of the image)]).  A source has
+# radius 5 and is redrawn until every image lands on its radius.
+PLAN_FAMILIES = {
+    "strata": [((1, 1, 2), [(6018, 5), (6003, 6), (6038, 7), (6075, 8)]),
+               ((1, 1, 1, 1), [(6024, 5), (6038, 6), (6023, 7), (6075, 8)]),
+               ((1, 3), [(6024, 5), (6011, 6), (6023, 7), (6065, 8)]),
+               (None, [(6018, 5), (6054, 6), (6057, 7), (6065, 8)])],
+    "split22": [((2, 2), [(6018, 5), (6039, 5)])],
+}
+
+
+def _plan_points(workload, seed):
+    rng = np.random.default_rng([seed, ("generic", "strata", "split22").index(workload)])
+    radius = lambda p: truncation_radius(p, THETA_TARGET)  # noqa: E731
+    if workload == "generic":
+        points = []
+        while len(points) < 20:
+            point = generic_siegel_point(4, rng)
+            if radius(point) == 5:
+                points.append(point)
+        return points
+    points = []
+    for parts, slots in PLAN_FAMILIES[workload]:
+        words = [random_symplectic(4, 6, s) for s, _ in slots]
+        while True:
+            if parts is None:
+                source = generic_siegel_point(4, rng)
+            else:
+                source = None
+                for size in parts:
+                    factor = random_siegel_point(size, rng)
+                    source = factor if source is None else block_diag(source, factor)
+            if radius(source) != 5:
+                continue
+            images = []
+            for gamma, (_, r) in zip(words, slots):
+                try:
+                    image = siegel_action(gamma, source)
+                except ValueError:
+                    break
+                if radius(image) != r:
+                    break
+                images.append(image)
+            else:
+                break
+        points += [source, *images]
+    return points
+
+
+def _cusp_points():
+    """tau_t = Re tau + i t Im tau for three generic tau: every one is
+    generic, and from t = 3 on F_T is below the threshold."""
+    return [validate_siegel(base.tau.real + 1j * t * base.tau.imag)
+            for base in (generic_siegel_point(4, s) for s in (200, 201, 202)) for t in (1, 2, 3, 4, 6, 8)]
+
+
+def _full_path(point, threshold):
+    """classify's report by the route that sums every constant to
+    THETA_TARGET: even_theta_constants, vanishing_set, evaluate_forms and
+    _decide, with the constants it used."""
+    constants = even_theta_constants(point, THETA_TARGET)
+    forms = evaluate_forms(point, THETA_TARGET, constants=constants)
+    mags = {fid: fv.relative_magnitude for fid, fv in forms.items()}
+    vrep = vanishing_set(point, threshold, constants=constants)
+    warnings = ()
+    if vrep.warning:
+        warnings = (f"ill-separated vanishing spectrum: margin {vrep.margin:.3g} < {MARGIN_FLOOR}",)
+    notes = []
+    label, splits = _decide(mags["FT"] >= threshold, vrep.members, notes)
+    report = StratumReport(label, mags, vrep.members, splits, threshold, THETA_TARGET, vrep.margin,
+                           warnings, tuple(notes))
+    return report, np.array([tv.value for tv in constants.values()])
+
+
+def _form_bounds(values, error):
+    """Bounds on how far the relative magnitudes of F_T, Theta_null and F_1
+    move when every constant moves by at most error from values: for F_T
+    the D of classify._certified_x0 times 1 + F_T's relative magnitude,
+    over the normalizer less D; for
+    the products, their degree times the relative change of one factor
+    and of the RMS scale, over the sum of the products' moduli (no bound
+    where some constant lies within error of zero)."""
+    x = np.abs(values) / np.abs(values).max()
+    e = error / np.abs(values).max()
+    p = lambda y: 16 * (y**16).sum() + ((y**8).sum()) ** 2  # noqa: E731
+    norm = (x**16).sum() + ((x**8).sum()) ** 2
+    d = p(x + e) - p(x) + (4 * len(x) + 64) * 2**-53 * p(x + e)
+    t8 = (values / np.abs(values).max()) ** 8
+    ft = abs(16 * (t8 * t8).sum() - t8.sum() ** 2) / norm
+    bounds = {"FT": d * (1 + ft) / (norm - d), "THETANULL": math.inf, "F1": math.inf}
+    if (x > 2 * e).all():
+        n, rms = len(x), math.sqrt((x**2).mean())
+        rel, s_rel = (e / (x - e)).sum(), e / (rms - e)  # relative changes of the factors and the scale
+        logs = np.log(x / rms)
+        bounds["THETANULL"] = math.expm1(rel + n * s_rel) * math.exp(logs.sum())
+        # the exclusion products over n s^(8(n-1))
+        bounds["F1"] = math.expm1(8 * (rel + (n - 1) * s_rel)) * np.exp(8 * (logs.sum() - logs)).sum() / n
+    return bounds
+
+
+def _decision(report):
+    return (report.label, report.vanishing, report.splits, report.warnings, report.notes)
+
+
+@pytest.fixture(scope="module")
+def decision_points(block_13, block_22, block_112):
+    points = [p for w in ("generic", "strata", "split22") for seed in (1, 2, 3) for p in _plan_points(w, seed)]
+    points += [generic_siegel_point(4, s) for s in (200, 201, 210, 211, 212, 220)]
+    points += [validate_siegel(1j * np.eye(4)), block_13, block_22, block_112]
+    return points + _cusp_points()
+
+
+class TestCoarseDecision:
+    def test_plan_points_rebuilt(self):
+        # the rebuilt plans have the perfbench sizes and radius slots
+        assert [len(_plan_points(w, 1)) for w in ("generic", "strata", "split22")] == [20, 20, 3]
+        radii = [truncation_radius(p, THETA_TARGET) for p in _plan_points("strata", 2)]
+        assert radii == [5, 5, 6, 7, 8] * 4
+
+    def test_same_decisions_as_the_full_path(self, decision_points):
+        targets = set()
+        for point in decision_points:
+            ref, values = _full_path(point, 1e-6)
+            mags = np.abs(values) / np.abs(values).max()
+            above = mags[mags >= 1e-6].min()  # the smallest constant the default threshold keeps
+            for threshold in (1e-6, 1.0, min(1.0, above * 1.05)):
+                if threshold != 1e-6:
+                    ref, values = _full_path(point, threshold)
+                rep = classify(point, threshold)
+                assert _decision(rep) == _decision(ref), (threshold, rep.label, ref.label)
+                targets.add(rep.theta_target)
+                if rep.theta_target == THETA_TARGET:
+                    assert rep.margin == pytest.approx(ref.margin, rel=1e-9)
+                    continue
+                # decided: X0 from the inner ellipsoid, forms within the
+                # derived bound of the full pass's
+                assert rep.theta_target == COARSE_TARGET
+                assert rep.label == "X0" and rep.vanishing == () and rep.margin == float("inf")
+                passes = _even_constants(point, THETA_TARGET, COARSE_TARGET)
+                coarse, truncation, rounding, _ = next(passes)
+                passes.close()
+                bounds = _form_bounds(coarse, truncation + rounding)
+                for fid, bound in bounds.items():
+                    assert abs(rep.form_magnitudes[fid] - ref.form_magnitudes[fid]) <= bound, fid
+        assert targets == {COARSE_TARGET, THETA_TARGET}  # both paths ran
+
+    def test_forced_fallback_matches_the_full_path(self, decision_points, monkeypatch):
+        monkeypatch.setattr(importlib.import_module("thetastrata.classify"), "_certified_x0",
+                            lambda *args: False)
+        for point in decision_points:
+            ref, values = _full_path(point, 1e-6)
+            rep = classify(point)
+            assert _decision(rep) == _decision(ref)
+            assert rep.theta_target == THETA_TARGET
+            # the two orders of summation differ by at most the rounding bound
+            rounding = list(_even_constants(point, THETA_TARGET))[0][2]
+            for fid, bound in _form_bounds(values, rounding).items():
+                moved = abs(rep.form_magnitudes[fid] - ref.form_magnitudes[fid])
+                assert moved <= bound or moved == 0, fid
+            # only the margin's vanishing side changed: it is floored at the truncation bound
+            mags = np.abs(values) / np.abs(values).max()
+            low = mags < 1e-6
+            if low.any():
+                tail = even_theta_constants(point, THETA_TARGET)[rep.vanishing[0]].tail_bound
+                floored = mags[~low].min() / max(mags[low].max(), tail / np.abs(values).max())
+                assert rep.margin == pytest.approx(floored, rel=1e-9)
+                assert rep.margin <= mags[~low].min() / mags[low].max()
+            else:
+                assert rep.margin == float("inf")
+
+    def test_certificate_needs_both_margins(self):
+        values, truncation, rounding, _ = next(_even_constants(generic_siegel_point(4, 1), THETA_TARGET,
+                                                               COARSE_TARGET))
+        error = truncation + rounding
+        ft = _forms(values, 4)["FT"].relative_magnitude
+        assert _certified_x0(values, error, 1e-6, 4)
+        # one constant within error of the threshold
+        low = values.copy()
+        low[7] *= (1e-6 * np.abs(values).max() + error / 2) / abs(values[7])
+        assert _forms(low, 4)["FT"].relative_magnitude > 1e-3
+        assert _certified_x0(low, 0.0, 1e-6, 4) and not _certified_x0(low, error, 1e-6, 4)
+        # F_T above the threshold by less than its error
+        assert _certified_x0(values, 0.0, ft * (1 - 1e-6), 4)
+        assert not _certified_x0(values, error, ft * (1 - 1e-6), 4)
+        assert not _certified_x0(values, 0.0, ft * (1 + 1e-6), 4)
+
+    def test_cusp_labels_unchanged(self):
+        # the known wrong cusp labels (X1 from t = 2 or 3, X3 at t = 8) are
+        # the full pass's: the coarse test decides only t = 1 and 2
+        labels = [classify(p).label for p in _cusp_points()]
+        assert labels[0] == labels[6] == labels[12] == "X0"
+        assert labels == [_full_path(p, 1e-6)[0].label for p in _cusp_points()]
+
+    def test_report_names_its_target(self, block_13):
+        generic = classify(generic_siegel_point(4, 1)).to_json()
+        assert generic["theta_target"] == COARSE_TARGET
+        assert classify(block_13).to_json()["theta_target"] == THETA_TARGET
+        assert classify_from_pattern(True).to_json()["theta_target"] is None

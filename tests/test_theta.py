@@ -1,5 +1,7 @@
+import gc
 import itertools
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -10,7 +12,10 @@ from thetastrata.chars import Characteristic, all_characteristics, concat, produ
 from thetastrata.errors import CapExceededError
 from thetastrata.symplectic import SymplecticInteger, random_symplectic, standard_generators
 from thetastrata.theta import (
+    _cut,
     _ellipsoid,
+    _even_constants,
+    _truncation,
     block_diag,
     even_theta_constants,
     generic_siegel_point,
@@ -375,6 +380,93 @@ class TestThetaFunctions:
         assert single > 1
         assert max(sizes) <= 4096
         assert np.all(counts == single)
+
+
+def _even_walk(point, coarse=None, limit=1 << 16):
+    """The walk of _even_constants at target 1e-12, with the inner cut for
+    `coarse` at the same radius, and that cut."""
+    radius, _, bound = _truncation(point, 1e-12)
+    tail = truncation_tail_bound(point.genus, point.lambda_min, radius)
+    inner = None if coarse is None else _cut((2 * radius + 1) ** point.genus, tail, coarse)[1]
+    origin = np.zeros((1, point.genus))
+    walk = _ellipsoid((point.tau / 4)[None], np.array([bound]), np.array([2 * radius + 1]), origin, origin,
+                      half=True, limit=limit, inner=None if inner is None else np.array([inner]))
+    return walk, inner
+
+
+def _visits(chunks):
+    """The sorted (q, phase, cls) of the points in chunks."""
+    return sorted(itertools.chain.from_iterable(zip(q.tolist(), phase.tolist(), cls.tolist())
+                                                for _, q, phase, cls in chunks))
+
+
+class TestInnerCut:
+    """_ellipsoid with an inner cut: the near points, a None marker, then
+    the far points, which together are the points of the walk without it."""
+
+    @pytest.mark.parametrize("word, radius", [(6018, 5), (None, 6), (6038, 7), (6057, 8)])
+    def test_near_and_far_partition_the_walk(self, word, radius):
+        point = generic_siegel_point(4, 70)
+        if word is not None:
+            point = siegel_action(random_symplectic(4, 6, word), point)
+        assert truncation_radius(point, 1e-12) == radius
+        whole = _visits(_even_walk(point)[0])
+        for limit in (1 << 16, 500):
+            walk, inner = _even_walk(point, 1e-6, limit)
+            chunks = list(walk)
+            assert sum(chunk is None for chunk in chunks) == 1
+            at = chunks.index(None)
+            near, far = _visits(chunks[:at]), _visits(chunks[at + 1:])
+            assert near and far
+            assert sorted(near + far) == whole  # the same multiset, bit for bit
+            assert max(q for q, _, _ in near) <= inner * (1 + 1e-9) < min(q for q, _, _ in far) * (1 + 2e-9)
+            if limit == 500:
+                assert at > 2 and len(chunks) - at > 2
+
+    def test_closing_at_the_marker_releases_the_parents(self):
+        point = siegel_action(random_symplectic(4, 6, 6057), generic_siegel_point(4, 70))
+        walk, _ = _even_walk(point, 1e-6)
+        near = []
+        for chunk in walk:
+            if chunk is None:
+                break
+            near.append(chunk)
+        assert _visits(near) == _visits(list(_even_walk(point, 1e-6)[0])[:len(near)])
+        # the kept parents of the far points go when the walk is closed,
+        # not at the next cyclic garbage collection
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            walk, _ = _even_walk(point, 1e-6)
+            for chunk in walk:
+                if chunk is None:
+                    break
+            del chunk
+            held = tracemalloc.get_traced_memory()[0] - start
+            walk.close()
+            left = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert held > 100_000 and left < held / 10, (held, left)
+
+    @pytest.mark.parametrize("word", [None, 6038])
+    def test_passes_agree_within_their_bounds(self, word):
+        point = generic_siegel_point(4, 71)
+        if word is not None:
+            point = siegel_action(random_symplectic(4, 6, word), point)
+        reference = np.array([tv.value for tv in even_theta_constants(point, 1e-12).values()])
+        (plain, *bounds), = list(_even_constants(point, 1e-12))
+        assert np.array_equal(plain, reference)  # the dict wraps the kernel's values
+        coarse, (full, truncation, rounding, radius) = list(_even_constants(point, 1e-12, 1e-6))
+        assert (truncation, radius) == (bounds[0], bounds[2])
+        assert rounding < 1e-9
+        assert np.abs(full - reference).max() <= rounding  # near then far: another order of summation
+        values, coarse_truncation, coarse_rounding, _ = coarse
+        assert 5e-7 < coarse_truncation < 1e-6
+        assert np.abs(values - full).max() <= coarse_truncation + coarse_rounding
 
 
 class TestBlockDiag:
