@@ -55,6 +55,7 @@ from .theta import (
     point_to_json,
     random_siegel_point,
     siegel_action,
+    siegel_reduction,
     theta_constant,
     theta_function,
     theta_functions,

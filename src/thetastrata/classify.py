@@ -22,6 +22,13 @@ two split outcomes and the size of the vanishing set, all invariant
 under Sp(8, Z), so a block-diagonal tau and its images are decided by
 the same rule.
 
+The same invariance lets classify sum the theta constants at whichever
+representative is cheapest.  Where the walk at tau is large it sums at
+the Siegel-reduced gamma o tau, whose ellipsoid holds fewer points, and
+reads the constant of m from slot gamma . m:
+theta_{gamma.m}(gamma o tau)^8 = det(C tau + D)^4 theta_m(tau)^8, and the
+common factor cancels from every relative quantity the decision reads.
+
 Sizes used as evidence, in closed form: on a product with diagonal
 blocks of sizes d_1 + ... + d_r = 4 the constants that vanish are the
 evens odd on some block.  A characteristic's parity is the sum of its
@@ -35,6 +42,7 @@ evens of genus 4 that are even on the genus-1 block: 31.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache, reduce
 from math import prod
@@ -54,9 +62,10 @@ from .chars import (
     product_split_tuple,
     swap,
 )
+from .errors import CapExceededError
 from .forms import _forms
-from .symplectic import SymplecticModTwo, act_on_tuple
-from .theta import SiegelPoint, _even_constants, even_theta_constants
+from .symplectic import SymplecticModTwo, _act_codes, act_on_tuple
+from .theta import SiegelPoint, _even_constants, even_theta_constants, siegel_reduction, truncation_radius
 
 __all__ = [
     "VanishingSet",
@@ -74,6 +83,12 @@ THETA_TARGET = 1e-12  # truncation bound of every theta constant classify sums
 # points F_T sits orders of magnitude above the threshold and every
 # constant far from it, so this pass already certifies X0 there
 COARSE_TARGET = 1e-6
+# classify sums at the Siegel-reduced representative only when the walk at
+# tau would visit more than this many lattice points: on the perfbench
+# plans (seeds 1-2) reducing cost a median 0.26 ms on the 74 points whose
+# walk held at most 15,400 points and saved 0.9-6.3 ms on all 12 from
+# 17,200 up (radius 7-8 images, reduced to radius 4-6)
+REDUCE_WALK = 16_000
 _MIX = np.uint64(0x9E3779B97F4A7C15)  # odd; folds a row of uint64 words into one
 
 
@@ -396,17 +411,26 @@ def classify(
     cannot certify X0 from those values, the shell out to THETA_TARGET.
     The report's theta_target names the pass its forms and margin come
     from; the label, vanishing set and splits are those the full pass
-    gives.
+    gives.  The walk runs at _representative(point): the Siegel-reduced
+    gamma o tau when the walk at tau would be large, else tau.  Margin and
+    forms are then the representative's, the vanishing set tau's.
     """
     if point.genus != 4:
         raise ValueError(f"classify requires genus 4, got {point.genus}")
     _check_threshold(rel_threshold)
-    passes = _even_constants(point, THETA_TARGET, COARSE_TARGET)
+    gamma, reduced, drift = _representative(point)
+    passes = _even_constants(reduced, THETA_TARGET, COARSE_TARGET, drift)
     values, truncation, rounding, _ = next(passes)
     theta_target = COARSE_TARGET
     if not _certified_x0(values, truncation + rounding, rel_threshold, point.genus):
         values, truncation, _, _ = next(passes)
         theta_target = THETA_TARGET
+        if reduced is not point:
+            # theta_{gamma.m}(gamma o tau)^8 = det(C tau + D)^4 theta_m(tau)^8:
+            # slot gamma.m holds the constant of m, up to a factor common to
+            # all of them that no relative quantity below sees.  A certified
+            # X0 has no vanishing member, so only here does the order matter.
+            values = values[_even_slots(gamma)]
     passes.close()
     mags = {fid: fv.relative_magnitude for fid, fv in _forms(values, point.genus).items()}
     vrep = _vanishing(all_characteristics(4, "even"), values, truncation, rel_threshold)
@@ -417,6 +441,45 @@ def classify(
     label, splits = _decide(mags["FT"] >= rel_threshold, vrep.members, notes)
     return StratumReport(label, mags, vrep.members, splits, rel_threshold, theta_target, vrep.margin,
                          warnings, tuple(notes))
+
+
+def _representative(point: SiegelPoint):
+    """(gamma, point, drift) for the point classify sums at: the
+    siegel_reduction of tau when the walk at tau is large (_walk above
+    REDUCE_WALK), else tau itself, with gamma None and drift 0."""
+    if _walk(point) <= REDUCE_WALK:
+        return None, point, 0.0
+    return siegel_reduction(point)
+
+
+def _walk(point: SiegelPoint) -> float:
+    """The lattice points the even-constant walk at THETA_TARGET visits at
+    tau, estimated by half the volume of its ellipsoid m^T Im(tau/4) m <= C
+    at genus 4, (pi^2 / 2) C^2 16 / sqrt(det Im tau) / 2, with
+    C = ln(2 (2R+1)^4 / THETA_TARGET) / pi for the box radius R (the walk's
+    C less its tail correction); inf when R passes the cap."""
+    try:
+        radius = truncation_radius(point, THETA_TARGET)
+    except CapExceededError:
+        return math.inf
+    cut = math.log(2 * (2 * radius + 1) ** 4 / THETA_TARGET) / math.pi
+    return 4 * math.pi**2 * cut**2 / math.sqrt(np.linalg.det(point.tau.imag))
+
+
+def _even_slots(gamma) -> np.ndarray:
+    """For each even m, in all_characteristics(g, "even") order, the index
+    of gamma . m in that order."""
+    codes, index = _even_index(gamma.genus)
+    return index[_act_codes(gamma.mod_two(), codes)]
+
+
+@cache
+def _even_index(g: int) -> tuple[np.ndarray, np.ndarray]:
+    """The even codes in order, and each even code's position among them."""
+    codes = np.array([m.code for m in all_characteristics(g, "even")])
+    index = np.full(1 << (2 * g), -1)
+    index[codes] = np.arange(len(codes))
+    return codes, index
 
 
 def _certified_x0(values: np.ndarray, error: float, rel_threshold: float, g: int) -> bool:

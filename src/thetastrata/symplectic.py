@@ -4,9 +4,11 @@ An element of Sp(2g, Z) is one 2g x 2g matrix M = [[A, B], [C, D]] of
 exact Python ints (dtype=object, so long words never overflow) with
 M^T J M = J, J = [[0, 1], [-1, 0]]; the blocks A, B, C, D are views of it.
 Reduction mod 2 lands in Sp(2g, F2), held as int64 0/1 however it is
-built, where the same condition holds mod 2.  Every element is checked
-when built, products and inverses included, by one product M^T (J M):
+built, where the same condition holds mod 2.  Every matrix that enters
+from outside is checked when built, by one product M^T (J M):
 J M = [[C, D], [-A, -B]] is M's block rows swapped, one half negated.
+Products and inverses of checked elements are symplectic by algebra and
+are not checked again.
 Sp(2g, F2) acts on theta characteristics by the affine map
 
     gamma . [eps|delta] = [[D, C], [B, A]] [eps; delta]
@@ -29,7 +31,7 @@ import itertools
 import random
 from collections import deque
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 
@@ -68,8 +70,8 @@ def _form(g: int) -> np.ndarray:
 
 class _Element:
     """A symplectic matrix M = [[A, B], [C, D]], held as one 2g x 2g array
-    `matrix` of the class's dtype.  Every element is checked when built:
-    M^T J M = J, mod 2 for SymplecticModTwo."""
+    `matrix` of the class's dtype.  Every matrix from outside is checked
+    when built: M^T J M = J, mod 2 for SymplecticModTwo."""
 
     _modulo_two = False
     _dtype = object  # Python ints, which no product overflows
@@ -85,18 +87,21 @@ class _Element:
         self._set_matrix(np.array([p + q for p, q in zip(a + c, b + d)], dtype=self._dtype))
 
     @classmethod
-    def _of(cls, matrix: np.ndarray):
-        """The element with this matrix, reduced mod 2 for SymplecticModTwo."""
+    def _of(cls, matrix: np.ndarray, check: bool = True):
+        """The element with this matrix, reduced mod 2 for SymplecticModTwo.
+        check=False is only for a matrix symplectic by algebra: a product
+        or an inverse of elements that were checked."""
         out = object.__new__(cls)
-        out._set_matrix(np.asarray(matrix % 2 if cls._modulo_two else matrix, dtype=cls._dtype))
+        out._set_matrix(np.asarray(matrix % 2 if cls._modulo_two else matrix, dtype=cls._dtype), check)
         return out
 
-    def _set_matrix(self, m: np.ndarray) -> None:
+    def _set_matrix(self, m: np.ndarray, check: bool = True) -> None:
         g = len(m) // 2
-        # J M = [[C, D], [-A, -B]], so the check is one product
-        residual = m.T @ np.concatenate((m[g:], -m[:g])) - _form(g)
-        if (residual % 2 if self._modulo_two else residual).any():
-            raise ValueError(f"not symplectic{' mod 2' if self._modulo_two else ''}: M^T J M != J")
+        if check:
+            # J M = [[C, D], [-A, -B]], so the check is one product
+            residual = m.T @ np.concatenate((m[g:], -m[:g])) - _form(g)
+            if (residual % 2 if self._modulo_two else residual).any():
+                raise ValueError(f"not symplectic{' mod 2' if self._modulo_two else ''}: M^T J M != J")
         m.flags.writeable = False
         self.__dict__.update(genus=g, matrix=m)
 
@@ -110,12 +115,12 @@ class _Element:
     def __matmul__(self, other):
         if self.genus != other.genus:
             raise ValueError("genus mismatch")
-        return self._of(self.matrix @ other.matrix)
+        return self._of(self.matrix @ other.matrix, check=False)
 
     def inverse(self):
         """-J M^T J = [[D^T, -B^T], [-C^T, A^T]]."""
         j = _form(self.genus)
-        return self._of(-(j @ self.matrix.T @ j))
+        return self._of(-(j @ self.matrix.T @ j), check=False)
 
     def _block(self, i: int, j: int) -> Matrix:
         g = self.genus
@@ -147,7 +152,7 @@ class SymplecticInteger(_Element):
     """An element of Sp(2g, Z) as one exact integer matrix [[A, B], [C, D]]."""
 
     def mod_two(self) -> "SymplecticModTwo":
-        return SymplecticModTwo._of(self.matrix)
+        return SymplecticModTwo._of(self.matrix, check=False)
 
 
 class SymplecticModTwo(_Element):
@@ -155,18 +160,6 @@ class SymplecticModTwo(_Element):
 
     _modulo_two = True
     _dtype = np.int64
-
-    @cached_property
-    def _affine(self) -> tuple[tuple[int, ...], int]:
-        """The affine action on codes: the rows of [[D, C], [B, A]] (M with
-        both halves swapped) and the shift [diag(C D^T); diag(A B^T)], each
-        packed as a code, eps_1 the highest bit: one product of M and its
-        row parities with the bit weights in swapped halves."""
-        g, m = self.genus, self.matrix
-        weights = 1 << (g - 1 - np.arange(2 * g)) % (2 * g)  # 2^(g-1) .. 1, 2^(2g-1) .. 2^g
-        parities = (m[:, :g] * m[:, g:]).sum(axis=1) % 2
-        *codes, shift = (np.vstack((m, parities)) @ weights).tolist()
-        return tuple(codes[g:] + codes[:g]), shift
 
 
 def standard_generators(g: int) -> list[SymplecticInteger]:
@@ -204,12 +197,22 @@ def _coerce_mod_two(gamma) -> SymplecticModTwo:
     raise TypeError(f"expected a symplectic element, got {type(gamma).__name__}")
 
 
-def _affine_code(gamma: SymplecticModTwo, code: int) -> int:
-    rows, shift = gamma._affine
-    out = 0
-    for row in rows:  # in code order, eps_1 first
-        out = (out << 1) | ((row & code).bit_count() & 1)
-    return out ^ shift
+@cache
+def _places(g: int) -> np.ndarray:
+    """Where each entry of v = [delta; eps], the vector M acts on, sits in
+    a genus-g code: delta_1 .. delta_g at bits g-1 .. 0, eps_1 .. eps_g at
+    bits 2g-1 .. g."""
+    return (g - 1 - np.arange(2 * g)) % (2 * g)
+
+
+def _act_codes(gamma: SymplecticModTwo, codes: np.ndarray) -> np.ndarray:
+    """gamma . c for every code c of an int64 array, by one product over
+    F2: with v the bits of c, gamma . c has the bits
+    M v + [diag(A B^T); diag(C D^T)] mod 2."""
+    g, m = gamma.genus, gamma.matrix
+    places = _places(g)
+    bits = codes[:, None] >> places & 1
+    return ((bits @ m.T + (m[:, :g] * m[:, g:]).sum(axis=1)) & 1) @ (1 << places)
 
 
 def affine_action(gamma, m: Characteristic) -> Characteristic:
@@ -220,7 +223,7 @@ def affine_action(gamma, m: Characteristic) -> Characteristic:
     gamma = _coerce_mod_two(gamma)
     if gamma.genus != m.genus:
         raise ValueError(f"genus mismatch: gamma has {gamma.genus}, m has {m.genus}")
-    return Characteristic.from_code(m.genus, _affine_code(gamma, m.code))
+    return Characteristic.from_code(m.genus, int(_act_codes(gamma, np.array([m.code]))[0]))
 
 
 def act_on_tuple(gamma, tup: CharTuple) -> CharTuple:
@@ -228,7 +231,9 @@ def act_on_tuple(gamma, tup: CharTuple) -> CharTuple:
     gamma = _coerce_mod_two(gamma)
     if gamma.genus != tup.genus:
         raise ValueError(f"genus mismatch: gamma has {gamma.genus}, tuple has {tup.genus}")
-    return CharTuple(tup.genus, tuple(affine_action(gamma, m) for m in tup))
+    every = all_characteristics(tup.genus)  # in code order
+    images = _act_codes(gamma, np.array([m.code for m in tup], dtype=np.int64)).tolist()
+    return CharTuple(tup.genus, tuple(every[c] for c in images))
 
 
 @dataclass(frozen=True)
@@ -293,7 +298,7 @@ def orbit_bfs(tup: CharTuple) -> set[CharTuple]:
     if g > ORBIT_GENUS_CAP:
         raise CapExceededError(f"orbit_bfs supports genus <= {ORBIT_GENUS_CAP}, got {g}")
     reduced = [gen.mod_two() for gen in _generators(g)]
-    tables = [{m.code: _affine_code(r, m.code) for m in all_characteristics(g)} for r in reduced]
+    tables = [_act_codes(r, np.arange(1 << (2 * g))).tolist() for r in reduced]
     start = tuple(m.code for m in tup)
     seen = {start}
     frontier = deque([start])

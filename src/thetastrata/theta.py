@@ -41,6 +41,11 @@ _even_constants yields the constants of the inner ellipsoid, cut for a
 coarse target at the same box radius, before it adds the shell;
 classify stops there when those values already decide its label.
 
+siegel_reduction maps a point to a Siegel-reduced representative of its
+Sp(2g, Z) orbit (LLL on Im tau, shifts of Re tau, quasi-inversions), where
+det Im tau is largest and the ellipsoids smallest; classify sums there
+when the walk at tau is large.
+
 Arithmetic is double precision.  The tail bound of a ThetaValue covers
 truncation only, not the ~1e-15-per-term floating point floor;
 _even_constants also bounds the rounding of its sums, by
@@ -52,6 +57,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,6 +78,8 @@ __all__ = [
     "even_theta_constants",
     "block_diag",
     "siegel_action",
+    "SiegelReduction",
+    "siegel_reduction",
     "random_siegel_point",
     "generic_siegel_point",
     "point_to_json",
@@ -84,6 +93,10 @@ _ACTION_SYM_TOL = 1e-9  # the solve leaves tau' symmetric only to rounding
 _ELLIPSOID_CHUNK = 1 << 16  # points per pass of the enumeration, bounding its memory
 _BATCH_CHUNK = 1 << 13  # the same for a theta_functions batch: lower peak memory, no measured cost in time
 _CUT_SLACK = 1e-9  # widens the ellipsoid past the rounding of its Cholesky sums
+# each round of siegel_reduction raises det Im tau; the cap only bounds
+# the work on a point whose float rounding stalls that rise
+_REDUCTION_ROUNDS = 64
+_UNIT = np.finfo(float).eps / 2  # unit roundoff
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,11 +183,19 @@ def truncation_tail_bound(g: int, lambda_min: float, radius: int, z_im_norm: flo
 
 
 def truncation_radius(point: SiegelPoint, target: float, z_im_norm: float = 0.0) -> int:
-    """Smallest box radius whose certified tail bound is below target."""
+    """Smallest box radius whose certified tail bound is below target.
+
+    The search starts where the bound's first term can drop below target:
+    at z = 0 a radius with exp(-pi lambda_min (R - 1/2)^2) > target has a
+    first term, at least twice that, above target, so it is skipped
+    without summing its tail (one radius lower, for rounding).
+    """
     if target <= 0:
         raise ValueError(f"target must be positive, got {target}")
     lam = point.lambda_min
     radius = max(1, math.ceil(z_im_norm / lam + 0.5 + 1e-9))
+    if not z_im_norm and target < 1:
+        radius = max(radius, math.ceil(0.5 + math.sqrt(math.log(1 / target) / (math.pi * lam))) - 1)
     while True:
         if radius > DEFAULT_RADIUS_CAP:
             raise CapExceededError(
@@ -268,7 +289,7 @@ def even_theta_constants(point: SiegelPoint, target: float) -> dict[Characterist
     return {m: ThetaValue(complex(v), tail_bound, radius) for m, v in zip(_even_tables(point.genus)[0], values)}
 
 
-def _even_constants(point: SiegelPoint, target: float, coarse: float | None = None):
+def _even_constants(point: SiegelPoint, target: float, coarse: float | None = None, drift: float = 0.0):
     """Yield (values, truncation, rounding, radius) of the even theta
     constants at one point: values in all_characteristics(g, "even")
     order, bounds of their truncation and rounding errors, and the box
@@ -311,6 +332,13 @@ def _even_constants(point: SiegelPoint, target: float, coarse: float | None = No
     rounding adds this bound for the second yield, taken a priori: at most
     the half box, ((2E+1)^g + 1) / 2 points and as many chunks, each far
     term of modulus below 2 exp(-pi C_coarse) (1 + 1e-9) and q <= C.
+
+    Drift.  When point.tau is a computed stand-in for an exact tau' with
+    ||tau' - point.tau||_2 <= drift (siegel_reduction's bound), a term's
+    exponent pi i p^T tau p moves by at most x = pi drift |p|^2
+    <= pi drift q / lambda_min, so the term by at most s (e^x - 1)
+    <= s x e^x.  With q <= C that adds pi drift e^{pi drift C / lambda_min}
+    / lambda_min to a, so the rounding bound covers tau' too.
     """
     g = point.genus
     radius = truncation_radius(point, target)
@@ -325,10 +353,11 @@ def _even_constants(point: SiegelPoint, target: float, coarse: float | None = No
     slope = (3 * (g + 2) * np.abs(np.linalg.cholesky(form.imag)).sum() ** 2
              + (2 * g + 3) * np.abs(form.real).sum()) / (point.lambda_min / 4)
     slope = math.pi * (slope + g + 2)
-    unit = np.finfo(float).eps / 2
+    if drift:
+        slope += math.pi * drift / point.lambda_min * math.exp(math.pi * drift * bound / point.lambda_min) / _UNIT
 
     def rounding(n_terms, mass, q_mass):
-        return ((n_terms + 2**g + 5) * mass + slope * q_mass) * unit * (1 + 1e-6)
+        return ((n_terms + 2**g + 5) * mass + slope * q_mass) * _UNIT * (1 + 1e-6)
 
     _, bins, weights = _even_tables(g)
     sums = np.zeros(4**g, dtype=complex)
@@ -496,6 +525,150 @@ def _even_tables(g: int):
     bins = (digits << (2 * np.arange(g))).sum(axis=2)
     weights = np.array([1, 1j, -1, -1j])[(digits * delta[:, None, :]).sum(axis=2) % 4]
     return evens, bins, weights
+
+
+class SiegelReduction(NamedTuple):
+    """A representative of a point's Sp(2g, Z) orbit: gamma, the point
+    gamma o tau (its tau computed in floating point) and drift, a bound on
+    ||point.tau - exact gamma o tau||_2."""
+
+    gamma: SymplecticInteger
+    point: SiegelPoint
+    drift: float
+
+
+def siegel_reduction(point: SiegelPoint) -> SiegelReduction:
+    """A Siegel-reduced representative of the point (Deconinck, Heil,
+    Bobenko, van Hoeij and Schmies, Math. Comp. 73 (2004), section 6).
+    Each round LLL-reduces Im tau (tau -> U^T tau U, the element
+    diag(U^T, U^{-1})), shifts Re tau into [-1/2, 1/2] (tau -> tau - S,
+    S = round(Re tau), the element [[1, -S], [0, 1]]) and, while
+    |tau_11| < 1, applies the quasi-inversion tau_11 -> -1/tau_11,
+    tau_1j -> tau_1j / tau_11, tau_ij -> tau_ij - tau_1i tau_1j / tau_11
+    (the element that sends row 1 of gamma to minus row g+1 and row g+1
+    to row 1), which raises det Im tau by 1 / |tau_11|^2.  A point that is
+    already reduced comes back as itself with the identity and drift 0.
+
+    tau is carried in floating point, exactly symmetric (every step
+    treats tau_ij and tau_ji alike), and gamma in exact integers, checked
+    once at the end.  The rounds stop after _REDUCTION_ROUNDS at the
+    latest, at a representative as valid as any other.  The drift bound:
+    with M = C tau + D and the residual R = tau_r M - (A tau + B),
+    tau_r - gamma o tau = R M^{-1}, and Im(gamma o tau) = M^{-*} (Im tau)
+    M^{-1} gives ||M^{-1}||^2 <= (||Im tau_r||_F + drift) / lambda_min.
+    With r a bound on ||R||_2, drift <= r w for the root w of
+    lambda_min w^2 = ||Im tau_r||_F + r w.  r is the computed ||R||_F plus
+    a bound on the rounding of R: entrywise it is at most
+    8 (g+2) u (|tau_r| |M| + |A tau + B|), and |[A, B] [tau; 1]| is at
+    most |[A, B]| [|tau|; 1], whose Frobenius norms multiply.
+    """
+    g = point.genus
+    tau = point.tau.tolist()
+    top = [[int(i == j) for j in range(2 * g)] for i in range(g)]  # the rows of [A B], then of [C D]
+    bottom = [[int(i == j) for j in range(2 * g)] for i in range(g, 2 * g)]
+    moved = False
+    for _ in range(_REDUCTION_ROUNDS):
+        moved |= _lll(tau, top, bottom)
+        if max(abs(z.real) for z in chain.from_iterable(tau)) > 0.5:
+            shift = [[round(z.real) for z in row] for row in tau]
+            tau = [[z - s for z, s in zip(row, s_row)] for row, s_row in zip(tau, shift)]
+            for row, s_row in zip(top, shift):
+                for s, lift in zip(s_row, bottom):
+                    if s:
+                        row[:] = [x - s * y for x, y in zip(row, lift)]
+            moved = True
+        head = tau[0]
+        t = head[0]
+        if abs(t) >= 1:
+            break
+        inv = 1 / t
+        tau = [[z - x * y * inv for y, z in zip(head, row)] for x, row in zip(head, tau)]
+        tau[0] = [z * inv for z in head]
+        for row, z in zip(tau, tau[0]):
+            row[0] = z
+        tau[0][0] = -inv
+        top[0], bottom[0] = [-x for x in bottom[0]], top[0]
+        moved = True
+    if not moved:
+        return SiegelReduction(SymplecticInteger.identity(g), point, 0.0)
+    element = SymplecticInteger._of(np.array(top + bottom, dtype=object))
+    reduced = validate_siegel(np.array(tau), sym_tol=0.0)
+    m = element.matrix.astype(float)
+    image = m[:, :g] @ point.tau + m[:, g:]  # [A tau + B; C tau + D]
+
+    def frobenius(rows):
+        return math.hypot(*map(abs, chain.from_iterable(rows)))
+
+    stacked = math.hypot(frobenius(point.tau.tolist()), math.sqrt(g))
+    floor = 8 * (g + 2) * _UNIT * stacked * (frobenius(tau) * frobenius(bottom) + frobenius(top))
+    r = (float(np.linalg.norm(reduced.tau @ image[g:] - image[:g])) + floor) * (1 + 1e-6)
+    ratio = r / point.lambda_min
+    w = (ratio + math.sqrt(ratio * ratio + 4 * frobenius(reduced.tau.imag.tolist()) / point.lambda_min)) / 2
+    return SiegelReduction(element, reduced, r * w)
+
+
+def _lll(tau: list[list[complex]], top: list[list[int]], bottom: list[list[int]]) -> bool:
+    """LLL-reduce Im tau in place (|mu_kj| <= 1/2 and B_k >= (3/4 - mu_k,k-1^2)
+    B_k-1, for the basis whose Gram matrix is Im tau), and say whether it
+    changed.  Each change of basis E (b_k -= r b_j, or a swap) is applied
+    as tau -> E^T tau E, so tau becomes U^T tau U, and as gamma ->
+    diag(E^T, E^{-1}) gamma on gamma's top and bottom rows, so gamma is
+    multiplied by diag(U^T, U^{-1}) on the left.  The Gram-Schmidt data is
+    updated with each change (Cohen, A Course in Computational Algebraic
+    Number Theory, algorithm 2.6.3)."""
+    n = len(tau)
+    mu, norms = [], []
+    for i in range(n):
+        dots = [z.imag for z in tau[i][:i + 1]]  # dots[j] becomes <b_i, b*_j>
+        row = []
+        for j in range(i):
+            d, mu_j = dots[j], mu[j]
+            for l in range(j):
+                d -= mu_j[l] * dots[l]
+            dots[j] = d
+            row.append(d / norms[j])
+        d = dots[i]
+        for l in range(i):
+            d -= row[l] * dots[l]
+        mu.append(row + [0.0] * (n - i))
+        norms.append(d)
+    changed, k = False, 1
+    while k < n:
+        row_k = mu[k]
+        for j in range(k - 1, -1, -1):
+            if -0.5 <= row_k[j] <= 0.5:
+                continue
+            r = round(row_k[j])  # b_k -= r b_j, r != 0
+            changed = True
+            row_j = mu[j]
+            for l in range(j):
+                row_k[l] -= r * row_j[l]
+            row_k[j] -= r
+            tau[k] = [x - r * y for x, y in zip(tau[k], tau[j])]
+            for row in tau:
+                row[k] -= r * row[j]
+            top[k] = [x - r * y for x, y in zip(top[k], top[j])]
+            bottom[j] = [x + r * y for x, y in zip(bottom[j], bottom[k])]
+        m = row_k[k - 1]
+        if norms[k] >= (0.75 - m * m) * norms[k - 1]:
+            k += 1
+            continue
+        changed = True  # swap b_k and b_k-1
+        for rows in (tau, top, bottom):
+            rows[k], rows[k - 1] = rows[k - 1], rows[k]
+        for row in tau:
+            row[k], row[k - 1] = row[k - 1], row[k]
+        for j in range(k - 1):
+            mu[k][j], mu[k - 1][j] = mu[k - 1][j], mu[k][j]
+        total = norms[k] + m * m * norms[k - 1]
+        mu[k][k - 1] = m * norms[k - 1] / total
+        norms[k], norms[k - 1] = norms[k - 1] * norms[k] / total, total
+        for i in range(k + 1, n):
+            t = mu[i][k]
+            mu[i][k] = mu[i][k - 1] - m * t
+            mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
+        k = max(k - 1, 1)
+    return changed
 
 
 def block_diag(point1: SiegelPoint, point2: SiegelPoint) -> SiegelPoint:

@@ -8,6 +8,7 @@ import cmath
 import itertools
 import math
 import random
+from fractions import Fraction
 from functools import cache
 from types import SimpleNamespace
 
@@ -90,6 +91,24 @@ def min_eig_lower_bound(rows, steps=60):
         else:
             hi = mid
     return lo
+
+
+def lll_reduced(rows, slack=1e-9):
+    """Whether a basis with Gram matrix `rows` (real, symmetric) is
+    LLL-reduced with delta = 3/4, up to a relative slack: Gram-Schmidt in
+    exact rationals on the given floats, then |mu_kj| <= 1/2 and
+    B_k >= (3/4 - mu_k,k-1^2) B_k-1."""
+    n = len(rows)
+    gram = [[Fraction(x) for x in row] for row in rows]
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    norms = [Fraction(0)] * n
+    for i in range(n):
+        for j in range(i):
+            mu[i][j] = (gram[i][j] - sum(mu[j][k] * mu[i][k] * norms[k] for k in range(j))) / norms[j]
+        norms[i] = gram[i][i] - sum(mu[i][k] ** 2 * norms[k] for k in range(i))
+    size = all(abs(mu[i][j]) <= 0.5 + slack for i in range(n) for j in range(i))
+    return size and all(norms[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * norms[k - 1] * (1 - slack)
+                        for k in range(1, n))
 
 
 def even_characteristics(g):

@@ -2,6 +2,7 @@ import importlib
 import json
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -25,6 +26,10 @@ from thetastrata.classify import (
     _basis_element,
     _certified_x0,
     _decide,
+    REDUCE_WALK,
+    _even_slots,
+    _representative,
+    _walk,
     _plane_table,
     _symplectic_basis,
     classify,
@@ -33,7 +38,14 @@ from thetastrata.classify import (
     vanishing_set,
 )
 from thetastrata.forms import _forms, evaluate_forms
-from thetastrata.symplectic import act_on_tuple, random_symplectic, tuples_equivalent
+from thetastrata.errors import CapExceededError
+from thetastrata.symplectic import (
+    SymplecticInteger,
+    act_on_tuple,
+    affine_action,
+    random_symplectic,
+    tuples_equivalent,
+)
 from thetastrata.theta import (
     _even_constants,
     block_diag,
@@ -42,12 +54,18 @@ from thetastrata.theta import (
     point_to_json,
     random_siegel_point,
     siegel_action,
+    SiegelReduction,
+    siegel_reduction,
     truncation_radius,
     validate_siegel,
 )
 
 from oracles import (
+    affine_image,
     block_stratum_label,
+    direct_theta_constant,
+    is_symplectic,
+    lll_reduced,
     odd_on_some_block_count,
     orthogonal_equal_key_pairs,
     plane_split_reference,
@@ -804,50 +822,56 @@ class TestCoarseDecision:
         assert radii == [5, 5, 6, 7, 8] * 4
 
     def test_same_decisions_as_the_full_path(self, decision_points):
+        # decisions against the full route at tau itself; margin and forms
+        # against the full route at the representative classify sums at
         targets = set()
         for point in decision_points:
+            reduction = SiegelReduction(*_representative(point))
             ref, values = _full_path(point, 1e-6)
             mags = np.abs(values) / np.abs(values).max()
             above = mags[mags >= 1e-6].min()  # the smallest constant the default threshold keeps
             for threshold in (1e-6, 1.0, min(1.0, above * 1.05)):
                 if threshold != 1e-6:
                     ref, values = _full_path(point, threshold)
+                at_reduced = _full_path(reduction.point, threshold)[0]
                 rep = classify(point, threshold)
                 assert _decision(rep) == _decision(ref), (threshold, rep.label, ref.label)
                 targets.add(rep.theta_target)
                 if rep.theta_target == THETA_TARGET:
-                    assert rep.margin == pytest.approx(ref.margin, rel=1e-9)
+                    assert rep.margin == pytest.approx(at_reduced.margin, rel=1e-9)
                     continue
                 # decided: X0 from the inner ellipsoid, forms within the
                 # derived bound of the full pass's
                 assert rep.theta_target == COARSE_TARGET
                 assert rep.label == "X0" and rep.vanishing == () and rep.margin == float("inf")
-                passes = _even_constants(point, THETA_TARGET, COARSE_TARGET)
+                passes = _even_constants(reduction.point, THETA_TARGET, COARSE_TARGET, reduction.drift)
                 coarse, truncation, rounding, _ = next(passes)
                 passes.close()
                 bounds = _form_bounds(coarse, truncation + rounding)
                 for fid, bound in bounds.items():
-                    assert abs(rep.form_magnitudes[fid] - ref.form_magnitudes[fid]) <= bound, fid
+                    assert abs(rep.form_magnitudes[fid] - at_reduced.form_magnitudes[fid]) <= bound, fid
         assert targets == {COARSE_TARGET, THETA_TARGET}  # both paths ran
 
     def test_forced_fallback_matches_the_full_path(self, decision_points, monkeypatch):
         monkeypatch.setattr(importlib.import_module("thetastrata.classify"), "_certified_x0",
                             lambda *args: False)
         for point in decision_points:
-            ref, values = _full_path(point, 1e-6)
+            reduced = _representative(point)[1]
+            ref = _full_path(point, 1e-6)[0]
+            at_reduced, values = _full_path(reduced, 1e-6)
             rep = classify(point)
             assert _decision(rep) == _decision(ref)
             assert rep.theta_target == THETA_TARGET
             # the two orders of summation differ by at most the rounding bound
-            rounding = list(_even_constants(point, THETA_TARGET))[0][2]
+            rounding = list(_even_constants(reduced, THETA_TARGET))[0][2]
             for fid, bound in _form_bounds(values, rounding).items():
-                moved = abs(rep.form_magnitudes[fid] - ref.form_magnitudes[fid])
+                moved = abs(rep.form_magnitudes[fid] - at_reduced.form_magnitudes[fid])
                 assert moved <= bound or moved == 0, fid
             # only the margin's vanishing side changed: it is floored at the truncation bound
             mags = np.abs(values) / np.abs(values).max()
             low = mags < 1e-6
             if low.any():
-                tail = even_theta_constants(point, THETA_TARGET)[rep.vanishing[0]].tail_bound
+                tail = next(iter(even_theta_constants(reduced, THETA_TARGET).values())).tail_bound
                 floored = mags[~low].min() / max(mags[low].max(), tail / np.abs(values).max())
                 assert rep.margin == pytest.approx(floored, rel=1e-9)
                 assert rep.margin <= mags[~low].min() / mags[low].max()
@@ -882,3 +906,169 @@ class TestCoarseDecision:
         assert generic["theta_target"] == COARSE_TARGET
         assert classify(block_13).to_json()["theta_target"] == THETA_TARGET
         assert classify_from_pattern(True).to_json()["theta_target"] is None
+
+
+def _long_words():
+    """The images of generic_siegel_point(4, 200) under the words of length
+    30 at seeds 9000-9019, with their words."""
+    base = generic_siegel_point(4, 200)
+    words = [random_symplectic(4, 30, 9000 + s) for s in range(20)]
+    return [(word, siegel_action(word, base)) for word in words]
+
+
+@pytest.fixture(scope="module")
+def reductions(decision_points):
+    points = decision_points + [image for _, image in _long_words()]
+    return [(point, siegel_reduction(point)) for point in points]
+
+
+def _blocks(gamma):
+    return gamma.a, gamma.b, gamma.c, gamma.d
+
+
+def _exact_image(gamma, point):
+    """(gamma o tau, det(C tau + D)), with gamma o tau = (A tau + B)(C tau + D)^{-1},
+    in 40-digit arithmetic."""
+    with mp.workdps(40):
+        tau = mp.matrix([[mp.mpc(complex(x)) for x in row] for row in point.tau])
+        a, b, c, d = (mp.matrix([[int(x) for x in row] for row in m]) for m in _blocks(gamma))
+        return (a * tau + b) * mp.inverse(c * tau + d), mp.det(c * tau + d)
+
+
+class TestSiegelReduction:
+    def test_gamma_is_an_exact_symplectic_matrix(self, reductions):
+        for _, r in reductions:
+            assert all(type(x) is int for x in r.gamma.matrix.flat)
+            assert is_symplectic(_blocks(r.gamma))
+
+    def test_reduced_conditions(self, reductions):
+        moved = 0
+        for point, r in reductions:
+            tau = r.point.tau
+            assert np.abs(tau.real).max() <= 0.5 and abs(tau[0, 0]) >= 1
+            assert lll_reduced(tau.imag.tolist())
+            with mp.workdps(40):
+                dets = [mp.det(mp.matrix(p.tau.imag.tolist())) for p in (point, r.point)]
+            assert dets[1] >= dets[0] * (1 - 1e-12)
+            moved += r.point is not point
+        assert moved > len(reductions) // 2
+
+    def test_point_is_the_image_within_the_drift(self, reductions):
+        for point, r in reductions:
+            if r.point is point:
+                assert r.drift == 0 and r.gamma == SymplecticInteger.identity(4)
+                continue
+            image, _ = _exact_image(r.gamma, point)
+            with mp.workdps(40):
+                gap = mp.mnorm(image - mp.matrix([[mp.mpc(complex(x)) for x in row] for row in r.point.tau]), "f")
+            assert 0 < r.drift < 1e-9 and gap <= r.drift
+
+    def test_already_reduced_points_come_back_unchanged(self):
+        # i 1_4 and the cusp points from t = 2 on: classify sums at tau itself
+        points = [validate_siegel(1j * np.eye(4))] + [p for i, p in enumerate(_cusp_points()) if i % 6]
+        for point in points:
+            r = siegel_reduction(point)
+            assert r.point is point and r.drift == 0.0 and r.gamma == SymplecticInteger.identity(4)
+
+    def test_slots_are_the_affine_action(self, reductions):
+        evens = all_characteristics(4, "even")
+        for _, r in reductions[::7]:
+            slots = _even_slots(r.gamma)
+            reduced = r.gamma.mod_two()
+            blocks = _blocks(reduced)
+            for m, slot in zip(evens, slots):
+                assert evens[slot] == affine_action(reduced, m)
+                assert (evens[slot].eps, evens[slot].delta) == affine_image(blocks, m.eps, m.delta)
+
+    def test_constants_move_with_the_modular_factor(self):
+        # |theta_m(tau)|^8 = |det(C tau + D)|^-4 |theta_{gamma.m}(gamma o tau)|^8,
+        # both sides by the plain box sum of tests/oracles.py
+        points = _plan_points("strata", 1)
+        evens = all_characteristics(4, "even")
+        rng = np.random.default_rng(5)
+        for point in (points[0], points[2], points[7], points[12]):
+            r = siegel_reduction(point)
+            assert r.point is not point
+            _, det = _exact_image(r.gamma, point)
+            slots = _even_slots(r.gamma)
+            for i in rng.choice(len(evens), size=2, replace=False):
+                at_tau = direct_theta_constant(evens[i], point, truncation_radius(point, 1e-14))
+                at_image = direct_theta_constant(evens[slots[i]], r.point, truncation_radius(r.point, 1e-14))
+                lhs, rhs = abs(at_tau) ** 8, float(abs(det)) ** -4 * abs(at_image) ** 8
+                assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-12)
+
+    def test_rounding_bound_covers_the_drift(self):
+        # the sums at tau_r and at a point a distance delta away differ by
+        # no more than the rounding bound taken with drift delta, plus the
+        # two sums' own bounds; without the drift term the bound is too small
+        r = siegel_reduction(_plan_points("strata", 1)[4])
+        rng = np.random.default_rng(11)
+        step = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        step = (step + step.T) / 2
+        delta = 1e-7
+        moved = validate_siegel(r.point.tau + delta * step / np.linalg.norm(step, 2))
+        here, truncation, rounding, _ = next(_even_constants(r.point, THETA_TARGET, drift=delta))
+        there, truncation2, rounding2, _ = next(_even_constants(moved, THETA_TARGET))
+        plain = next(_even_constants(r.point, THETA_TARGET))[2]
+        gap = np.abs(here - there).max()
+        assert gap <= truncation + rounding + truncation2 + rounding2
+        assert gap > plain + truncation + truncation2 + rounding2
+
+
+class TestLongWords:
+    def test_long_word_images_are_x0(self):
+        assert [classify(image).label for _, image in _long_words()] == ["X0"] * 20
+
+    def test_the_cap_word_needs_the_reduction(self):
+        # at seed 9006 the image's lambda_min asks for a box radius past the cap
+        _, image = _long_words()[6]
+        with pytest.raises(CapExceededError):
+            truncation_radius(image, THETA_TARGET)
+        assert truncation_radius(siegel_reduction(image).point, THETA_TARGET) <= 8
+
+    def test_images_decide_as_their_sources(self):
+        # label and split outcomes match the source's; the vanishing set
+        # moves by the word mod 2; both margins are well separated (the two
+        # reduce to different representatives, so the margins' truncation
+        # floors differ)
+        for seed in (1, 2, 3):
+            points = _plan_points("strata", seed)
+            for family, (_, slots) in enumerate(PLAN_FAMILIES["strata"]):
+                source = classify(points[5 * family])
+                for (word_seed, _), image in zip(slots, points[5 * family + 1:5 * family + 5]):
+                    rep = classify(image)
+                    word = random_symplectic(4, 6, word_seed)
+                    assert rep.label == source.label and rep.theta_target == source.theta_target
+                    assert [w.found for w in rep.splits] == [w.found for w in source.splits]
+                    assert set(rep.vanishing) == set(act_on_tuple(word, CharTuple(4, source.vanishing))) \
+                        if source.vanishing else rep.vanishing == ()
+                    assert min(rep.margin, source.margin) >= MARGIN_FLOOR
+
+
+class TestRepresentative:
+    def test_small_walks_are_summed_at_tau(self):
+        # every generic and split22 plan point: classify's route is the
+        # one without the reduction
+        for workload in ("generic", "split22"):
+            for point in _plan_points(workload, 1):
+                assert _walk(point) <= REDUCE_WALK
+                assert _representative(point) == (None, point, 0.0)
+
+    def test_large_walks_are_summed_at_the_reduced_point(self):
+        points = [p for p in _plan_points("strata", 1) + [image for _, image in _long_words()]
+                  if _walk(p) > REDUCE_WALK]
+        assert len(points) >= 20
+        for point in points:
+            gamma, reduced, drift = _representative(point)
+            assert reduced is not point and _walk(reduced) < _walk(point) / 2
+
+    def test_walk_estimates_the_points_visited(self):
+        # the volume estimate against the points the walk actually visits
+        theta = importlib.import_module("thetastrata.theta")
+        for point in _plan_points("strata", 2):
+            visited = 0
+            for chunk in theta._ellipsoid(point.tau[None] / 4, np.array([theta._truncation(point, THETA_TARGET)[2]]),
+                                          np.array([2 * truncation_radius(point, THETA_TARGET) + 1]),
+                                          np.zeros((1, 4)), np.zeros((1, 4)), half=True):
+                visited += len(chunk[1])
+            assert 0.8 < _walk(point) / visited < 1.25

@@ -21,6 +21,7 @@ from thetastrata.symplectic import (
     OrbitProfile,
     SymplecticInteger,
     SymplecticModTwo,
+    _act_codes,
     act_on_tuple,
     affine_action,
     orbit_bfs,
@@ -134,8 +135,13 @@ def test_affine_codes_match_bits_code_on_all_of_sp4_f2():
                 seen.add(image)
                 frontier.append(image)
     assert len(seen) == 720  # |Sp(4, F2)| = |S_6|
+    codes = np.arange(16)
     for reduced in seen:
-        assert reduced._affine == _bits_code_affine(reduced)
+        rows, shift = _bits_code_affine(reduced)
+        # gamma . c: bit i (eps_1 first) is the parity of row i & c, then the shift
+        expected = [sum(((row & c).bit_count() & 1) << (3 - i) for i, row in enumerate(rows)) ^ shift
+                    for c in range(16)]
+        assert _act_codes(reduced, codes).tolist() == expected
 
 
 def test_inverse_and_composition():
@@ -403,6 +409,18 @@ def test_perfbench_words_pinned():
 def test_random_symplectic_sweep_pinned():
     words = (random_symplectic(g, n, s) for g in range(1, 5) for n in range(1, 31) for s in range(10))
     assert _digest(map(_rows, words)) == "a32991cbe1bbc2040e4a033658bbdad15a2cf9b13136d9d0ff893e20e625149d"
+
+
+def test_unchecked_products_are_symplectic():
+    # products and inverses skip the M^T J M = J check; every product the
+    # pinned sweep forms (its shorter words are prefixes of its longer
+    # ones) and the inverse of each satisfy it by a plain-Python check
+    for g in range(1, 5):
+        for n in range(1, 31):
+            for s in range(10):
+                gamma = random_symplectic(g, n, s)
+                for x in (gamma, gamma.inverse()):
+                    assert is_symplectic((x.a, x.b, x.c, x.d)), (g, n, s)
 
 
 def test_transformation_check_pinned():
