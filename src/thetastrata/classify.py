@@ -65,7 +65,7 @@ from .chars import (
 from .errors import CapExceededError
 from .forms import _forms
 from .symplectic import SymplecticModTwo, _act_codes, act_on_tuple
-from .theta import SiegelPoint, _even_constants, even_theta_constants, siegel_reduction, truncation_radius
+from .theta import SiegelPoint, _even_constants, siegel_reduction, truncation_radius
 
 __all__ = [
     "VanishingSet",
@@ -119,20 +119,13 @@ def _check_threshold(rel_threshold: float) -> None:
         raise ValueError(f"rel_threshold must be a finite number in (0, 1], got {rel_threshold!r}")
 
 
-def vanishing_set(
-    point: SiegelPoint,
-    rel_threshold: float = 1e-6,
-    constants=None,
-) -> VanishingSet:
-    """Classify each even theta constant as vanishing or surviving at the
-    relative threshold; `constants` may carry a precomputed
-    even_theta_constants(point, THETA_TARGET) result.  A threshold that is
+def vanishing_set(point: SiegelPoint, rel_threshold: float = 1e-6) -> VanishingSet:
+    """Classify each even theta constant, summed to THETA_TARGET, as
+    vanishing or surviving at the relative threshold.  A threshold that is
     not a finite number in (0, 1] raises ValueError."""
     _check_threshold(rel_threshold)
-    if constants is None:
-        constants = even_theta_constants(point, THETA_TARGET)
-    values = np.array([tv.value for tv in constants.values()])
-    return _vanishing(list(constants), values, max(tv.tail_bound for tv in constants.values()), rel_threshold)
+    values, truncation, _, _ = next(_even_constants(point, THETA_TARGET))
+    return _vanishing(all_characteristics(point.genus, "even"), values, truncation, rel_threshold)
 
 
 def _vanishing(chars, values: np.ndarray, truncation: float, rel_threshold: float) -> VanishingSet:

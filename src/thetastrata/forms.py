@@ -44,7 +44,7 @@ import numpy as np
 
 from .chars import Characteristic, even_count
 from .symplectic import SymplecticInteger, affine_action
-from .theta import SiegelPoint, even_theta_constants, siegel_action, theta_functions
+from .theta import SiegelPoint, _even_constants, siegel_action, theta_functions
 
 __all__ = [
     "FormValue",
@@ -103,15 +103,12 @@ def _form_value(form_id: str, log_abs_hat: float, arg: float, log_normalizer_hat
     )
 
 
-def evaluate_forms(point: SiegelPoint, target: float = 1e-10, constants=None) -> dict[str, FormValue]:
-    """All three stratifying forms from one shared theta-constant pass;
-    `constants` may carry a precomputed even_theta_constants result."""
+def evaluate_forms(point: SiegelPoint, target: float = 1e-10) -> dict[str, FormValue]:
+    """All three stratifying forms from one shared theta-constant pass."""
     g = point.genus
     if g > FORM_GENUS_CAP:
         raise ValueError(f"forms are capped at genus {FORM_GENUS_CAP}, got {g}")
-    if constants is None:
-        constants = even_theta_constants(point, target)
-    return _forms(np.array([tv.value for tv in constants.values()]), g)
+    return _forms(next(_even_constants(point, target))[0], g)
 
 
 def _forms(values: np.ndarray, g: int) -> dict[str, FormValue]:

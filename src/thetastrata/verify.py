@@ -33,6 +33,9 @@ MAX_WORD_LENGTH = 6
 SCHOTTKY_VANISH_TOL = 1e-10
 SCHOTTKY_BLOCK_TOL = 1e-8
 SCHOTTKY_GENERIC_FLOOR = 1e-4
+SCHOTTKY_SAMPLES = 20  # random points through genus 3, generic ones at genus 4
+SWEEP_POINTS = 5  # random points of the generator sweep, besides i * 1_g
+SWEEP_TARGET = 1e-10  # theta truncation bound of the generator sweep
 
 
 def _partition_by_orbit(tuples: list[CharTuple]) -> list[int]:
@@ -58,7 +61,8 @@ def orbit_oracle_check(g: int) -> dict:
 
     Two partitions of the same set agree on every ordered pair of elements
     iff they are equal, so full pairwise agreement is checked as partition
-    equality between profile classes and BFS orbits.
+    equality between profile classes and BFS orbits: two labelings give
+    the same partition iff pairing them adds no class to either.
     """
     if g > 2:
         raise ValueError("exhaustive oracle comparison is supported for genus 1 and 2")
@@ -66,17 +70,9 @@ def orbit_oracle_check(g: int) -> dict:
     report = {"genus": g, "ok": True}
     for label, size in (("pairs", 2), ("triples", 3)):
         tuples = [CharTuple(g, combo) for combo in itertools.product(evens, repeat=size)]
-        profiles = [orbit_profile(t) for t in tuples]
-        profile_class: dict = {}
-        by_profile = [profile_class.setdefault(p, len(profile_class)) for p in profiles]
+        by_profile = [orbit_profile(t) for t in tuples]
         by_orbit = _partition_by_orbit(tuples)
-        refine = {}
-        agree = True
-        for a, b in zip(by_profile, by_orbit):
-            if refine.setdefault(a, b) != b:
-                agree = False
-                break
-        agree = agree and len(set(by_profile)) == len(set(by_orbit))
+        agree = len(set(zip(by_profile, by_orbit))) == len(set(by_profile)) == len(set(by_orbit))
         report[label] = {
             "tuples": len(tuples),
             "ordered_comparisons": len(tuples) ** 2,
@@ -117,19 +113,19 @@ def transformation_check(g: int, seed: int, count: int) -> dict:
     }
 
 
-def transformation_generator_sweep(g: int, seed: int, extra_points: int = 5, target: float = 1e-10) -> dict:
+def transformation_generator_sweep(g: int, seed: int) -> dict:
     """Every standard generator against every even characteristic, at
-    tau = i*1_g and seeded random points."""
+    tau = i*1_g and SWEEP_POINTS seeded random points."""
     rng = np.random.default_rng(seed)
     points = [validate_siegel(1j * np.eye(g))]
-    points += [random_siegel_point(g, rng) for _ in range(extra_points)]
+    points += [random_siegel_point(g, rng) for _ in range(SWEEP_POINTS)]
     cases = [
         (gamma, m, point)
         for gamma in standard_generators(g)
         for m in all_characteristics(g, "even")
         for point in points
     ]
-    worst = max(transformation_residuals(cases, target))
+    worst = max(transformation_residuals(cases, SWEEP_TARGET))
     return {
         "genus": g,
         "seed": seed,
@@ -140,15 +136,16 @@ def transformation_generator_sweep(g: int, seed: int, extra_points: int = 5, tar
     }
 
 
-def schottky_degeneration_check(g: int, seed: int, count: int = 20) -> dict:
+def schottky_degeneration_check(g: int, seed: int) -> dict:
     """The 2^g-normalized Schottky combination vanishes identically through
     genus 3 and survives at generic genus-4 points while dying on
-    four-elliptic blocks."""
+    four-elliptic blocks, on SCHOTTKY_SAMPLES seeded points."""
     rng = np.random.default_rng(seed)
     report = {"genus": g, "seed": seed, "ok": True}
     if g <= 3:
         rels = [
-            evaluate_forms(random_siegel_point(g, rng))["FT"].relative_magnitude for _ in range(count)
+            evaluate_forms(random_siegel_point(g, rng))["FT"].relative_magnitude
+            for _ in range(SCHOTTKY_SAMPLES)
         ]
         report["max_relative_magnitude"] = float(max(rels))
         report["threshold"] = SCHOTTKY_VANISH_TOL
@@ -158,7 +155,7 @@ def schottky_degeneration_check(g: int, seed: int, count: int = 20) -> dict:
         raise ValueError("schottky degeneration check is defined for genus <= 4")
     generic = [
         evaluate_forms(generic_siegel_point(4, int(rng.integers(0, 2**31))))["FT"].relative_magnitude
-        for _ in range(count)
+        for _ in range(SCHOTTKY_SAMPLES)
     ]
     vanishing = [evaluate_forms(validate_siegel(1j * np.eye(4)))["FT"].relative_magnitude]
     for _ in range(5):

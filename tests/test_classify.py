@@ -32,12 +32,13 @@ from thetastrata.classify import (
     _walk,
     _plane_table,
     _symplectic_basis,
+    _vanishing,
     classify,
     classify_from_pattern,
     detect_split,
     vanishing_set,
 )
-from thetastrata.forms import _forms, evaluate_forms
+from thetastrata.forms import _forms
 from thetastrata.errors import CapExceededError
 from thetastrata.symplectic import (
     SymplecticInteger,
@@ -130,12 +131,14 @@ class TestVanishingSet:
         assert len(expected) == 55
 
     def test_precomputed_constants_give_the_same_set(self, block_13):
-        # classify sums the constants once and hands them to vanishing_set
+        # the kernel's array gives the set that even_theta_constants' dict gives
         for point in (generic_siegel_point(4, 200), block_13):
             constants = even_theta_constants(point, THETA_TARGET)
+            values = np.array([tv.value for tv in constants.values()])
+            truncation = max(tv.tail_bound for tv in constants.values())
             for threshold in (1e-6, 1e-3):
-                shared = vanishing_set(point, threshold, constants=constants)
-                assert shared == vanishing_set(point, threshold)
+                from_dict = _vanishing(list(constants), values, truncation, threshold)
+                assert vanishing_set(point, threshold) == from_dict
 
     def test_margin_warning_fires_for_adversarial_threshold(self):
         p = generic_siegel_point(4, 201)
@@ -760,12 +763,11 @@ def _cusp_points():
 
 def _full_path(point, threshold):
     """classify's report by the route that sums every constant to
-    THETA_TARGET: even_theta_constants, vanishing_set, evaluate_forms and
-    _decide, with the constants it used."""
-    constants = even_theta_constants(point, THETA_TARGET)
-    forms = evaluate_forms(point, THETA_TARGET, constants=constants)
-    mags = {fid: fv.relative_magnitude for fid, fv in forms.items()}
-    vrep = vanishing_set(point, threshold, constants=constants)
+    THETA_TARGET: one _even_constants pass, the forms, the vanishing set
+    and _decide, with the constants it used."""
+    values, truncation, _, _ = next(_even_constants(point, THETA_TARGET))
+    mags = {fid: fv.relative_magnitude for fid, fv in _forms(values, 4).items()}
+    vrep = _vanishing(all_characteristics(4, "even"), values, truncation, threshold)
     warnings = ()
     if vrep.warning:
         warnings = (f"ill-separated vanishing spectrum: margin {vrep.margin:.3g} < {MARGIN_FLOOR}",)
@@ -773,7 +775,7 @@ def _full_path(point, threshold):
     label, splits = _decide(mags["FT"] >= threshold, vrep.members, notes)
     report = StratumReport(label, mags, vrep.members, splits, threshold, THETA_TARGET, vrep.margin,
                            warnings, tuple(notes))
-    return report, np.array([tv.value for tv in constants.values()])
+    return report, values
 
 
 def _form_bounds(values, error):

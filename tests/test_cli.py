@@ -9,7 +9,20 @@ import pytest
 
 import thetastrata
 import thetastrata.cli as cli
-from thetastrata.theta import block_diag, point_to_json, random_siegel_point, validate_siegel
+import thetastrata.verify as verify
+from thetastrata.classify import vanishing_set
+from thetastrata.errors import CapExceededError
+from thetastrata.forms import evaluate_forms
+from thetastrata.symplectic import random_symplectic
+from thetastrata.theta import (
+    block_diag,
+    even_theta_constants,
+    generic_siegel_point,
+    point_to_json,
+    random_siegel_point,
+    siegel_action,
+    validate_siegel,
+)
 
 
 @pytest.fixture
@@ -79,6 +92,26 @@ def test_eval_cap_exceeded(capsys, tmp_path):
     assert cli.run(["eval", "theta", "--char", "0|0", "--tau", str(path), "--target", "1e-250"]) == 3
 
 
+def test_cap_raises_except_where_classify_reduces(capsys, tmp_path):
+    # an image under a length-30 word: at tau itself the theta box radius
+    # passes the cap, so every entry point that sums there raises, and
+    # classify alone, which sums at the Siegel-reduced representative,
+    # gives a label
+    point = siegel_action(random_symplectic(4, 30, 9006), generic_siegel_point(4, 200))
+    path = tmp_path / "longword.json"
+    path.write_text(json.dumps(point_to_json(point)))
+    assert run_json(capsys, ["classify", "--tau", str(path)])["label"] == "X0"
+    for argv in (["eval", "--form", "FT"], ["eval", "theta", "--char", "0000|0000"]):
+        assert cli.run([*argv, "--tau", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: truncation radius cap 64 exceeded")
+        assert captured.err.count("\n") == 1
+    for evaluate in (vanishing_set, evaluate_forms, lambda p: even_theta_constants(p, 1e-12)):
+        with pytest.raises(CapExceededError):
+            evaluate(point)
+
+
 def test_classify_block(capsys, tmp_path):
     rng = np.random.default_rng(5)
     blk = block_diag(random_siegel_point(2, rng), random_siegel_point(2, rng))
@@ -103,6 +136,16 @@ def test_verify_orbit_oracle(capsys):
     out = run_json(capsys, ["verify", "orbit-oracle", "--genus", "2"])
     assert out["ok"] is True
     assert out["triples"]["ordered_comparisons"] == 1000**2
+
+
+def test_verify_orbit_oracle_can_fail(capsys, monkeypatch):
+    # a profile that keeps only the tuple length merges orbits
+    monkeypatch.setattr(verify, "orbit_profile", lambda t: len(t.entries))
+    report = verify.orbit_oracle_check(1)
+    assert report["ok"] is False
+    assert report["pairs"]["agree"] is False and report["triples"]["agree"] is False
+    out = run_json(capsys, ["verify", "orbit-oracle", "--genus", "1"], expect_code=2)
+    assert out == report
 
 
 def test_verify_transformation_deterministic(capsys):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from thetastrata.chars import Characteristic, all_characteristics, even_count
-from thetastrata.forms import FORM_IDS, evaluate_forms, form_weight, transformation_residual
+from thetastrata.forms import FORM_IDS, _forms, evaluate_forms, form_weight, transformation_residual
 from thetastrata.symplectic import (
     SymplecticInteger,
     affine_action,
@@ -172,10 +172,12 @@ class TestFieldRelations:
         assert math.isfinite(fv.log_normalizer) and fv.log_normalizer > 1000
 
     def test_precomputed_constants_give_the_same_forms(self):
+        # the kernel's array gives the forms that even_theta_constants' dict gives
         for point in _field_points():
             for target in (1e-10, 1e-12):
-                shared = evaluate_forms(point, target, constants=even_theta_constants(point, target))
-                assert shared == evaluate_forms(point, target)
+                constants = even_theta_constants(point, target)
+                from_dict = _forms(np.array([tv.value for tv in constants.values()]), point.genus)
+                assert evaluate_forms(point, target) == from_dict
 
 
 class TestWeights:
