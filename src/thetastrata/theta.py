@@ -124,8 +124,8 @@ class ThetaValue:
 
 def validate_siegel(matrix, *, sym_tol: float = 1e-12) -> SiegelPoint:
     """Symmetrize and certify a matrix as a point of the Siegel upper half
-    space; rejects asymmetry beyond sym_tol and non-positive-definite
-    imaginary part (reporting lambda_min).
+    space; rejects non-finite entries, asymmetry beyond sym_tol and
+    non-positive-definite imaginary part (reporting lambda_min).
 
     lambda_min is numpy's smallest eigenvalue of Im tau lowered by two
     rounding units of ||Im tau||_F, and lowered again by twice as much
@@ -135,6 +135,8 @@ def validate_siegel(matrix, *, sym_tol: float = 1e-12) -> SiegelPoint:
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix has a non-finite entry (inf or nan)")
     asym = float(np.abs(m - m.T).max())
     if asym > sym_tol:
         raise ValueError(f"matrix not symmetric: max |tau - tau^T| = {asym:.3e} > {sym_tol:.1e}")
@@ -417,16 +419,25 @@ def _ellipsoid(forms: np.ndarray, bounds, edges, centers, shifts, half: bool = F
 
     Fincke-Pohst: with Im form = L L^T,
     q = sum_i (sum_{j>=i} L_ji (x_j - center_j))^2, so once x_{i+1}, ...,
-    x_{g-1} are fixed, x_i runs over an interval.  Each array is built up
-    one coordinate at a time, a parent passing its values to its
-    children with np.repeat.
+    x_{g-1} are fixed, x_i runs over an interval.  Each parent at level i
+    carries part, its partial sums over its fixed x_k for the levels
+    j <= i: column 2j holds pull_j - sum_k L_kj x_k, with
+    pull_j = sum_{k>=j} L_kj center_k, and column 2j + 1 holds
+    shift_j + sum_k Re_kj x_k (Re = Re form).  Level i reads its
+    interval's centre part_{2i} / L_ii and its linear phase term
+    part_{2i+1}; fixing x_i adds x_i times row i of -L and of Re, taken
+    at the levels below i, so each sum is added up from x_{g-1} down.
+    Each array is built up one coordinate at a time, a parent passing its
+    values to its children with np.repeat.
     """
     n_prob, g = len(forms), forms.shape[-1]
     chol = np.linalg.cholesky(forms.imag)
-    pull = (centers[:, None, :] @ chol)[:, 0]  # pull_i = sum_{j>=i} L_ji center_j
-    table = np.concatenate([pull, shifts, chol.reshape(n_prob, -1), forms.real.reshape(n_prob, -1),
-                            bounds[:, None], edges[:, None]], axis=1)
-    tables = [table[:, columns] for columns in _level_columns(g)]
+    start = np.stack([(centers[:, None, :] @ chol)[:, 0], shifts], axis=2).reshape(n_prob, 2 * g)
+    # [i, p]: row i of -L and of Re, interleaved as in part
+    steps = np.stack([-chol, forms.real], axis=3).reshape(n_prob, g, 2 * g).transpose(1, 0, 2)
+    # [:, p, i]: L_ii, Re_ii, bound and edge of problem p at level i
+    levels = np.array([chol.diagonal(0, 1, 2), forms.real.diagonal(0, 1, 2),
+                       bounds[:, None].repeat(g, 1), edges[:, None].repeat(g, 1)])
     kept = []  # the last level's parents and their near runs, for the far points
 
     def children(first, count, per_parent, parents, i):
@@ -442,14 +453,11 @@ def _ellipsoid(forms: np.ndarray, bounds, edges, centers, shifts, half: bool = F
         phase = phase.repeat(per_parent) + new * (re_ii * new + (2 * lin).repeat(per_parent))
         return new, prob.repeat(per_parent), q, phase, cls.repeat(per_parent) + ((new & 3) << (2 * i))
 
-    def expand(cols, zero, q, phase, cls, prob, i):
-        # cols holds x_{g-1}, ..., x_{i+1}; zero marks an all-zero prefix;
-        # mid and lin start as pull_i and shift_i
-        mid, lin, diag, re_ii, bound, edge, *coef = tables[i].take(prob, axis=0).T
-        for k, col in enumerate(cols):
-            mid -= coef[k] * col
-            lin += coef[len(cols) + k] * col
-        mid /= diag
+    def expand(part, zero, q, phase, cls, prob, i):
+        # zero marks an all-zero prefix x_{g-1}, ..., x_{i+1}
+        diag, re_ii, bound, edge = levels[:, :, i].take(prob, axis=1)
+        mid = part[:, 2 * i] / diag
+        lin = part[:, 2 * i + 1]
         low = np.where(zero, 0, -edge)
         half_width = np.sqrt(np.maximum(bound - q, 0.0)) / diag
         first = np.maximum(np.ceil(mid - half_width), low).astype(np.int64)
@@ -459,9 +467,8 @@ def _ellipsoid(forms: np.ndarray, bounds, edges, centers, shifts, half: bool = F
             return
         if total > limit and len(q) > 1:
             at = len(q) // 2
-            for part in (slice(None, at), slice(at, None)):
-                yield from expand([col[part] for col in cols], zero[part], q[part], phase[part],
-                                  cls[part], prob[part], i)
+            for cut in (slice(None, at), slice(at, None)):
+                yield from expand(part[cut], zero[cut], q[cut], phase[cut], cls[cut], prob[cut], i)
             return
         parents = (mid, lin, diag, re_ii, q, phase, cls, prob)
         if i == 0 and inner is not None:
@@ -476,15 +483,15 @@ def _ellipsoid(forms: np.ndarray, bounds, edges, centers, shifts, half: bool = F
                 yield children(first + skip, near, near, parents, 0)[1:]
             return
         new, prob, q, phase, cls = children(first, count, count, parents, i)
-        del mid, lin, diag, re_ii, bound, edge, coef, half_width, first, parents  # free the parents' table
+        del mid, lin, diag, re_ii, bound, edge, half_width, first, parents  # free the parents' arrays
         if i == 0:
             yield prob, q, phase, cls
         else:
-            cols = [col.repeat(count) for col in cols] + [new]
-            yield from expand(cols, zero.repeat(count) & (new == 0), q, phase, cls, prob, i - 1)
+            part = part[:, :2 * i].repeat(count, axis=0) + steps[i, :, :2 * i].take(prob, axis=0) * new[:, None]
+            yield from expand(part, zero.repeat(count) & (new == 0), q, phase, cls, prob, i - 1)
 
     try:
-        yield from expand([], np.full(n_prob, half), np.zeros(n_prob), np.zeros(n_prob),
+        yield from expand(start, np.full(n_prob, half), np.zeros(n_prob), np.zeros(n_prob),
                           np.zeros(n_prob, dtype=np.int64), np.arange(n_prob), g - 1)
         if inner is not None:
             yield None
@@ -496,19 +503,6 @@ def _ellipsoid(forms: np.ndarray, bounds, edges, centers, shifts, half: bool = F
                     yield children(runs, np.stack([skip, far - skip], axis=1).ravel(), far, parents, 0)[1:]
     finally:
         kept.clear()  # expand's closure is a reference cycle: it would hold the parents until the next collection
-
-
-@cache
-def _level_columns(g: int) -> list[np.ndarray]:
-    """For each level i of _ellipsoid, the columns of its problem table
-    (pull, shift, L and Re row by row, bound, edge) that a parent reads:
-    pull_i, shift_i, L_ii, Re_ii, bound, edge, then L_ji and Re_ji for
-    j = g-1, ..., i+1."""
-    chol, re, bound = 2 * g, 2 * g + g * g, 2 * g + 2 * g * g
-    higher = [range(g - 1, i, -1) for i in range(g)]
-    return [np.array([i, g + i, chol + i * (g + 1), re + i * (g + 1), bound, bound + 1]
-                     + [chol + j * g + i for j in higher[i]] + [re + j * g + i for j in higher[i]])
-            for i in range(g)]
 
 
 @cache

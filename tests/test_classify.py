@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import math
@@ -235,6 +236,11 @@ class TestDetectSplit:
     def test_rejects_odd_entries(self):
         with pytest.raises(ValueError, match="odd"):
             detect_split([Characteristic.from_string("1000|1000")], 1)
+
+    def test_rejects_mixed_genera(self):
+        members = [all_characteristics(4, "even")[0], all_characteristics(3, "even")[1]]
+        with pytest.raises(ValueError, match="mixed genera"):
+            detect_split(members, 1)
 
     def test_bad_k(self):
         with pytest.raises(ValueError, match="k must"):
@@ -1015,6 +1021,16 @@ class TestSiegelReduction:
         gap = np.abs(here - there).max()
         assert gap <= truncation + rounding + truncation2 + rounding2
         assert gap > plain + truncation + truncation2 + rounding2
+
+
+def test_classify_json_pinned(decision_points):
+    # every byte of classify's reports on the decision points and the
+    # long-word images, as the theta walk gave them when it rebuilt each
+    # level's centre and phase sums from the fixed coordinates
+    h = hashlib.sha256()
+    for point in decision_points + [image for _, image in _long_words()]:
+        h.update(json.dumps(classify(point).to_json(), sort_keys=True).encode() + b"\n")
+    assert h.hexdigest() == "e4d5e5e72f335eb4de20adea28e736ca2cfb8dccf93dd95a87ac8e9a5fc68cfd"
 
 
 class TestLongWords:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -219,6 +220,39 @@ def test_verify_bad_genus_is_domain_error(capsys, genus):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: genus must be >= 1")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["eval", "theta", "--char", "0000|0000", "--target", "0"], "target must be positive"),
+    (["orbit", "equiv", "--tuple", "00|00"], "orbit equiv needs exactly two"),
+    (["orbit", "bfs", "--tuple", "00|00", "--tuple", "00|01"], "orbit bfs needs exactly one"),
+    (["eval"], "eval needs --form"),
+    (["verify", "orbit-oracle", "--genus", "3"], "exhaustive oracle comparison is supported for genus 1 and 2"),
+    (["verify", "schottky-degeneration", "--genus", "5", "--seed", "1"], "schottky degeneration check"),
+])
+def test_outside_input_is_domain_error(capsys, tau4_file, argv, message):
+    if argv[0] == "eval":
+        argv = argv + ["--tau", tau4_file]
+    assert cli.run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error")  # numpy's RuntimeWarnings on inf - inf fail the test
+@pytest.mark.parametrize("entry", [[math.nan, 1.0], [math.inf, 1.0], [-math.inf, 1.0],
+                                   [0.0, math.nan], [0.0, math.inf], [0.0, -math.inf]])
+@pytest.mark.parametrize("command", [["classify"], ["eval", "--form", "FT"]])
+def test_non_finite_point_is_domain_error(capsys, tmp_path, entry, command):
+    # json writes and reads Infinity and NaN; i 1_4 with tau_33 replaced
+    obj = point_to_json(validate_siegel(1j * np.eye(4)))
+    obj["tau"][3][3] = entry
+    path = tmp_path / "tau.json"
+    path.write_text(json.dumps(obj))
+    assert cli.run(command + ["--tau", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: matrix has a non-finite entry (inf or nan)\n"
 
 
 def test_one_parser_serves_every_call(capsys, monkeypatch):

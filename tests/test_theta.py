@@ -1,5 +1,6 @@
 import gc
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -64,6 +65,16 @@ class TestValidateSiegel:
             validate_siegel(np.diag([1j, -1j]))
         with pytest.raises(ValueError, match="lambda_min"):
             validate_siegel(1j * np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    @pytest.mark.parametrize("entry", [[math.nan, 1.0], [math.inf, 1.0], [-math.inf, 1.0],
+                                       [0.0, math.nan], [0.0, math.inf], [0.0, -math.inf]])
+    def test_rejects_non_finite_entries(self, entry):
+        # json reads Infinity and NaN, so a point file can hold them:
+        # i 1_4 with tau_33 replaced
+        obj = point_to_json(validate_siegel(1j * np.eye(4)))
+        obj["tau"][3][3] = entry
+        with pytest.raises(ValueError, match="non-finite"):
+            point_from_json(json.loads(json.dumps(obj)))
 
     def test_symmetrizes_small_noise(self):
         m = 1j * np.eye(2)
@@ -212,12 +223,34 @@ class TestThetaValues:
             ref = direct_theta_sum(m.eps, m.delta, list(z), rows, tv.radius)
             assert abs(tv.value - ref) <= tv.tail_bound + 1e-13 * max(1, abs(ref))
 
+    def test_batch_shape_checks(self):
+        p = validate_siegel(1j * np.eye(2))
+        m = Characteristic.from_string("00|00")
+        with pytest.raises(ValueError, match="same length"):
+            theta_functions([m, m], [np.zeros(2)], [p, p], 1e-10)
+        with pytest.raises(ValueError, match="z must have length 2"):
+            theta_functions([m], [np.zeros(3)], [p], 1e-10)
+
     def test_genus_mismatch_and_im_z_cap(self):
         p = validate_siegel([[1j]])
         with pytest.raises(ValueError, match="genus"):
             theta_constant(Characteristic.from_string("00|00"), p, 1e-10)
         with pytest.raises(ValueError, match="Im z"):
             theta_function(Characteristic.from_string("0|0"), [20j], p, 1e-10)
+
+
+# test_half_ellipsoid_against_enumeration's problems by genus: (bound,
+# edge) of the two half-call problems, then (bound, edge, centre, shift) of
+# the two full-call ones
+ENUMERATION_CALLS = {
+    1: ([(350.0, 100), (200.0, 80)],
+        [(300.0, 100, (95.3,), (0.3,)), (150.0, 80, (-70.6,), (-0.45,))]),
+    3: ([(9.5, 7), (6.5, 5)],
+        [(7.5, 7, (5.3, -1.6, 2.45), (0.3, -0.7, 1.15)), (5.0, 6, (-2.2, 0.4, -5.6), (-0.45, 0.1, 0.8))]),
+    4: ([(5.0, 4), (3.5, 3)],
+        [(4.0, 4, (3.3, -1.2, 0.6, 2.7), (0.3, -0.7, 1.15, 0.2)),
+         (3.0, 4, (-2.4, 0.5, -3.1, 1.2), (-0.45, 0.1, 0.8, -0.3))]),
+}
 
 
 class TestBatch:
@@ -248,7 +281,8 @@ class TestBatch:
             box = direct_theta_constant(m, p, tv.radius)
             assert abs(tv.value - box) <= tv.tail_bound + 1e-13
 
-    def test_half_ellipsoid_against_enumeration(self):
+    @pytest.mark.parametrize("g", sorted(ENUMERATION_CALLS))
+    def test_half_ellipsoid_against_enumeration(self, g):
         # plain-Python oracle: every x in the box with
         # q = (x - c)^T (Im form) (x - c) <= bound, its phase
         # x^T (Re form) x + 2 l^T x and its class of x mod 4; the half
@@ -256,29 +290,27 @@ class TestBatch:
         # entry from the last coordinate down is positive.  The full
         # ellipsoids' centres sit near a face, so the box clips them.
         # Each call holds two problems with their own form, bound, edge,
-        # centre and shift.
-        forms = [random_siegel_point(3, np.random.default_rng(seed)).tau / 4 for seed in (90, 91)]
-        origin = (0.0, 0.0, 0.0)
-        calls = [
-            (True, [(9.5, 7, origin, origin), (6.5, 5, origin, origin)]),
-            (False, [(7.5, 7, (5.3, -1.6, 2.45), (0.3, -0.7, 1.15)),
-                     (5.0, 6, (-2.2, 0.4, -5.6), (-0.45, 0.1, 0.8))]),
-        ]
+        # centre and shift.  A walk of genus g updates its carried partial
+        # sums g - 1 times: never at genus 1, three times at genus 4.
+        forms = [random_siegel_point(g, np.random.default_rng(seed)).tau / 4 for seed in (90, 91)]
+        origin = (0.0,) * g
+        half_problems, full_problems = ENUMERATION_CALLS[g]
+        calls = [(True, [(bound, edge, origin, origin) for bound, edge in half_problems]), (False, full_problems)]
         for half, problems in calls:
             expected = []
             for p, (form, (bound, edge, center, shift)) in enumerate(zip(forms, problems)):
                 rows = form.tolist()
                 size = 0
-                for x in itertools.product(range(-edge, edge + 1), repeat=3):
+                for x in itertools.product(range(-edge, edge + 1), repeat=g):
                     d = [xi - ci for xi, ci in zip(x, center)]
-                    quad = sum(d[i] * rows[i][j].imag * d[j] for i in range(3) for j in range(3))
-                    phase = sum(x[i] * rows[i][j].real * x[j] for i in range(3) for j in range(3))
+                    quad = sum(d[i] * rows[i][j].imag * d[j] for i in range(g) for j in range(g))
+                    phase = sum(x[i] * rows[i][j].real * x[j] for i in range(g) for j in range(g))
                     phase += 2 * sum(li * xi for li, xi in zip(shift, x))
                     if (not half or next((v for v in reversed(x) if v), 0) >= 0) and quad <= bound:
                         code = sum((v % 4) << (2 * j) for j, v in enumerate(x))
                         expected.append((p, code, round(quad, 9), round(phase, 9)))
                         size += 1
-                assert 0 < size < (2 * edge + 1) ** 3 // 4
+                assert 0 < size < (2 * edge + 1) ** g // 4
             bounds, edges, centers, shifts = (np.array(column) for column in zip(*problems))
             args = (np.array(forms), bounds, edges, centers, shifts, half)
             chunks = list(_ellipsoid(*args))
@@ -292,6 +324,7 @@ class TestBatch:
             assert len(parts) > 1
             for whole, pieces in zip(chunks[0], zip(*parts)):
                 assert np.array_equal(whole, np.concatenate(pieces))
+
 
 def _mixed_batch(g):
     """(chars, zs, points) of one genus whose members differ in point,
