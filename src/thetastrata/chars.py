@@ -108,9 +108,6 @@ class Characteristic:
         bits = format(self.code, f"0{2 * self.genus}b")
         return bits[: self.genus] + "|" + bits[self.genus :]
 
-    def __add__(self, other: "Characteristic") -> "Characteristic":
-        return add(self, other)
-
 
 def swap(code: int, g: int) -> int:
     """The genus-g code with its eps and delta halves exchanged."""

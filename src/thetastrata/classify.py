@@ -65,7 +65,7 @@ from .chars import (
 from .errors import CapExceededError
 from .forms import _forms
 from .symplectic import SymplecticModTwo, _act_codes, act_on_tuple
-from .theta import SiegelPoint, _even_constants, siegel_reduction, truncation_radius
+from .theta import SiegelPoint, _doubled, _drift_bound, _even_squares, siegel_reduction, truncation_radius
 
 __all__ = [
     "VanishingSet",
@@ -78,17 +78,17 @@ __all__ = [
 ]
 
 MARGIN_FLOOR = 10.0
-THETA_TARGET = 1e-12  # truncation bound of every theta constant classify sums
-# truncation bound of the first pass on the inner ellipsoid: on generic
-# points F_T sits orders of magnitude above the threshold and every
-# constant far from it, so this pass already certifies X0 there
-COARSE_TARGET = 1e-6
+# truncation bound of every constant theta[s; 0](0, 2 tau) classify sums:
+# the squares of the even constants then resolve |theta| to 2.3e-7-2.7e-7
+# of the largest on generic_siegel_point(4, 1-10), below the default
+# threshold of 1e-6 (1e-12 would give 1.5e-6-1.6e-6)
+THETA_TARGET = 1e-14
 # classify sums at the Siegel-reduced representative only when the walk at
 # tau would visit more than this many lattice points: on the perfbench
-# plans (seeds 1-2) reducing cost a median 0.26 ms on the 74 points whose
-# walk held at most 15,400 points and saved 0.9-6.3 ms on all 12 from
-# 17,200 up (radius 7-8 images, reduced to radius 4-6)
-REDUCE_WALK = 16_000
+# plans (seeds 1-2) reducing cost a median 0.21 ms on the 75 points whose
+# walk held at most 5,100 points and saved a median 0.19 ms, up to 0.58 ms,
+# on the 11 from 5,550 up (radius 7-8 images)
+REDUCE_WALK = 5_300
 _MIX = np.uint64(0x9E3779B97F4A7C15)  # odd; folds a row of uint64 words into one
 
 
@@ -97,18 +97,16 @@ class VanishingSet:
     """Even characteristics with |theta_m| below rel_threshold * scale.
 
     margin = (smallest surviving relative magnitude) / (largest vanishing
-    one, floored at the values' truncation bound over scale): a vanishing
-    magnitude below that bound is summation noise, which moves with the
-    order of summation; a margin under 10 flags an ill-separated spectrum.
+    one, each floored at its magnitude's error bound over scale): a
+    vanishing magnitude below its bound is summation noise, which moves
+    with the order of summation; a margin under 10 flags an ill-separated
+    spectrum.
     """
 
     members: tuple[Characteristic, ...]
     scale: float
     margin: float
     warning: bool
-
-    def __iter__(self):
-        return iter(self.members)
 
     def __len__(self):
         return len(self.members)
@@ -120,25 +118,33 @@ def _check_threshold(rel_threshold: float) -> None:
 
 
 def vanishing_set(point: SiegelPoint, rel_threshold: float = 1e-6) -> VanishingSet:
-    """Classify each even theta constant, summed to THETA_TARGET, as
-    vanishing or surviving at the relative threshold.  A threshold that is
-    not a finite number in (0, 1] raises ValueError."""
+    """Classify each even theta constant, its square summed by
+    theta._even_squares for THETA_TARGET, as vanishing or surviving at the
+    relative threshold.  A threshold that is not a finite number in (0, 1],
+    or that lies at or below the resolution of the constants at the point,
+    raises ValueError."""
     _check_threshold(rel_threshold)
-    values, truncation, _, _ = next(_even_constants(point, THETA_TARGET))
-    return _vanishing(all_characteristics(point.genus, "even"), values, truncation, rel_threshold)
+    squares, bounds = _even_squares(point, THETA_TARGET)
+    return _vanishing(all_characteristics(point.genus, "even"), np.sqrt(squares), np.sqrt(bounds), rel_threshold)
 
 
-def _vanishing(chars, values: np.ndarray, truncation: float, rel_threshold: float) -> VanishingSet:
-    """vanishing_set on the values of chars, summed to the given
-    truncation bound."""
+def _vanishing(chars, values: np.ndarray, error: np.ndarray, rel_threshold: float) -> VanishingSet:
+    """vanishing_set on the values of chars, whose moduli lie within error
+    of the exact ones, value by value.  The largest error over the scale
+    is the resolution: a threshold at or below it raises ValueError, as
+    no comparison with it is certain."""
     rel = np.abs(values)
     scale = float(rel.max())
     if scale == 0:
         raise ValueError("all even theta constants evaluated to zero; invalid point")
     rel /= scale
+    floor = error / scale
+    if rel_threshold <= floor.max():
+        raise ValueError(f"rel_threshold {rel_threshold!r} is at or below the resolution {floor.max():.3g} "
+                         "of the theta constants at this point")
     low = rel < rel_threshold
     members = tuple(m for m, flag in zip(chars, low) if flag)
-    margin = float(rel[~low].min() / max(rel[low].max(), truncation / scale)) if members else float("inf")
+    margin = float(rel[~low].min() / max(rel[low].max(), floor[low].max())) if members else float("inf")
     return VanishingSet(members, scale, margin, bool(members) and margin < MARGIN_FLOOR)
 
 
@@ -317,7 +323,7 @@ class StratumReport:
     vanishing: tuple[Characteristic, ...]
     splits: tuple[SplitWitness, ...]
     threshold: float
-    theta_target: float | None  # truncation target behind form_magnitudes and margin
+    theta_target: float | None  # truncation target of the theta sums behind the report
     margin: float
     warnings: tuple[str, ...]
     notes: tuple[str, ...]
@@ -399,40 +405,36 @@ def classify(
     the vanishing set, all Sp(8,Z)-invariant, so every representative of
     a point gets the same label by the same rule.
 
-    The constants come from one walk (theta._even_constants): first the
-    inner ellipsoid cut for COARSE_TARGET, then, only when _certified_x0
-    cannot certify X0 from those values, the shell out to THETA_TARGET.
-    The report's theta_target names the pass its forms and margin come
-    from; the label, vanishing set and splits are those the full pass
-    gives.  The walk runs at _representative(point): the Siegel-reduced
-    gamma o tau when the walk at tau would be large, else tau.  Margin and
-    forms are then the representative's, the vanishing set tau's.
+    The constants come from one walk (theta._even_squares), which gives
+    their squares with a bound each.  The squares are all the chain reads:
+    |theta| and theta^8, hence the three forms' relative magnitudes, are
+    the same for either square root.  The walk runs at
+    _representative(point): the Siegel-reduced gamma o tau when the walk
+    at tau would be large, else tau.  Margin and forms are then the
+    representative's, the vanishing set tau's; the error of each modulus
+    adds the bound drift puts on the constants of gamma o tau.
     """
     if point.genus != 4:
         raise ValueError(f"classify requires genus 4, got {point.genus}")
     _check_threshold(rel_threshold)
     gamma, reduced, drift = _representative(point)
-    passes = _even_constants(reduced, THETA_TARGET, COARSE_TARGET, drift)
-    values, truncation, rounding, _ = next(passes)
-    theta_target = COARSE_TARGET
-    if not _certified_x0(values, truncation + rounding, rel_threshold, point.genus):
-        values, truncation, _, _ = next(passes)
-        theta_target = THETA_TARGET
-        if reduced is not point:
-            # theta_{gamma.m}(gamma o tau)^8 = det(C tau + D)^4 theta_m(tau)^8:
-            # slot gamma.m holds the constant of m, up to a factor common to
-            # all of them that no relative quantity below sees.  A certified
-            # X0 has no vanishing member, so only here does the order matter.
-            values = values[_even_slots(gamma)]
-    passes.close()
+    squares, bounds = _even_squares(reduced, THETA_TARGET)
+    error = np.sqrt(bounds) + _drift_bound(reduced, drift)
+    if reduced is not point:
+        # theta_{gamma.m}(gamma o tau)^8 = det(C tau + D)^4 theta_m(tau)^8:
+        # slot gamma.m holds the constant of m, up to a factor common to
+        # all of them that no relative quantity below sees
+        slots = _even_slots(gamma)
+        squares, error = squares[slots], error[slots]
+    values = np.sqrt(squares)
+    vrep = _vanishing(all_characteristics(4, "even"), values, error, rel_threshold)
     mags = {fid: fv.relative_magnitude for fid, fv in _forms(values, point.genus).items()}
-    vrep = _vanishing(all_characteristics(4, "even"), values, truncation, rel_threshold)
     warnings = ()
     if vrep.warning:
         warnings = (f"ill-separated vanishing spectrum: margin {vrep.margin:.3g} < {MARGIN_FLOOR}",)
     notes: list[str] = []
     label, splits = _decide(mags["FT"] >= rel_threshold, vrep.members, notes)
-    return StratumReport(label, mags, vrep.members, splits, rel_threshold, theta_target, vrep.margin,
+    return StratumReport(label, mags, vrep.members, splits, rel_threshold, THETA_TARGET, vrep.margin,
                          warnings, tuple(notes))
 
 
@@ -446,17 +448,18 @@ def _representative(point: SiegelPoint):
 
 
 def _walk(point: SiegelPoint) -> float:
-    """The lattice points the even-constant walk at THETA_TARGET visits at
-    tau, estimated by half the volume of its ellipsoid m^T Im(tau/4) m <= C
-    at genus 4, (pi^2 / 2) C^2 16 / sqrt(det Im tau) / 2, with
-    C = ln(2 (2R+1)^4 / THETA_TARGET) / pi for the box radius R (the walk's
-    C less its tail correction); inf when R passes the cap."""
+    """The lattice points the walk of theta._even_squares at THETA_TARGET
+    visits at tau, estimated by half the volume of its ellipsoid
+    m^T Im(tau/2) m <= C at genus 4, (pi^2 / 2) C^2 4 / sqrt(det Im tau) / 2,
+    with C = ln(2 (2R+1)^4 / THETA_TARGET) / pi for the box radius R at
+    2 tau (the walk's C less its tail correction); inf when R passes the
+    cap."""
     try:
-        radius = truncation_radius(point, THETA_TARGET)
+        radius = truncation_radius(_doubled(point), THETA_TARGET)
     except CapExceededError:
         return math.inf
     cut = math.log(2 * (2 * radius + 1) ** 4 / THETA_TARGET) / math.pi
-    return 4 * math.pi**2 * cut**2 / math.sqrt(np.linalg.det(point.tau.imag))
+    return math.pi**2 * cut**2 / math.sqrt(np.linalg.det(point.tau.imag))
 
 
 def _even_slots(gamma) -> np.ndarray:
@@ -473,35 +476,6 @@ def _even_index(g: int) -> tuple[np.ndarray, np.ndarray]:
     index = np.full(1 << (2 * g), -1)
     index[codes] = np.arange(len(codes))
     return codes, index
-
-
-def _certified_x0(values: np.ndarray, error: float, rel_threshold: float, g: int) -> bool:
-    """Whether the full pass is certain to find F_T surviving and no
-    constant vanishing, when each of `values` lies within `error` of the
-    full pass's value of its constant.
-
-    Write x = |v| for the given values and w for the full pass's.  A
-    constant vanishes there when |w_m| < thr max|w|; as |w_m| >= x_m - e
-    and max|w| <= max x + e, none does if x_m - e >= thr (max x + e) for
-    every m.  F_T = 2^g sum v^16 - (sum v^8)^2 survives there when
-    |F(w)| >= thr N(w), N(w) = sum |w|^16 + (sum |w|^8)^2.  With
-    P(x) = 2^g sum x^16 + (sum x^8)^2 and |a^n - b^n| <= (|b| + e)^n - |b|^n
-    for |a - b| <= e, |F(w) - F(v)| <= D = P(x + e) - P(x), and
-    N(w) <= N(x + e) <= N(x) + D, N having the terms of P with smaller
-    coefficients.  So F_T survives if |F(v)| - D >= thr (N(x) + D).  D also
-    carries (4 |E| + 64) u P(x + e), which covers the rounding of
-    evaluating F_T and its normalizer, here and in the full pass.
-    Everything is scaled by max x first; the test is homogeneous.
-    """
-    scale = float(np.abs(values).max())
-    x, e = np.abs(values) / scale, error / scale
-    if (x - e < rel_threshold * (1 + e)).any():
-        return False
-    t8, x8, w8 = (values / scale) ** 8, x**8, (x + e) ** 8
-    f = abs(2**g * (t8 * t8).sum() - t8.sum() ** 2)
-    wide = 2**g * (w8 * w8).sum() + w8.sum() ** 2
-    delta = wide - 2**g * (x8 * x8).sum() - x8.sum() ** 2 + (4 * len(values) + 64) * np.finfo(float).eps / 2 * wide
-    return bool(f - delta >= rel_threshold * ((x8 * x8).sum() + x8.sum() ** 2 + delta))
 
 
 def classify_from_pattern(ft_vanishes: bool, vanishing=()) -> StratumReport:

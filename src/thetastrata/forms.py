@@ -108,7 +108,7 @@ def evaluate_forms(point: SiegelPoint, target: float = 1e-10) -> dict[str, FormV
     g = point.genus
     if g > FORM_GENUS_CAP:
         raise ValueError(f"forms are capped at genus {FORM_GENUS_CAP}, got {g}")
-    return _forms(next(_even_constants(point, target))[0], g)
+    return _forms(_even_constants(point, target)[0], g)
 
 
 def _forms(values: np.ndarray, g: int) -> dict[str, FormValue]:

@@ -32,14 +32,9 @@ The enumeration, _ellipsoid, has a problem axis: it walks P ellipsoids
 of one genus at once and carries each point's problem index.
 theta_functions sums a batch of (m, z, tau) in one walk (theta_function
 and theta_constant are its batch of one); even_theta_constants is a
-walk of one problem.
-
-The walk can also split each ellipsoid at an inner cut C' < C: the near
-points q <= C' first, a marker, then the far points, all from the same
-last-level parents, so the two parts are exactly the uncut walk.
-_even_constants yields the constants of the inner ellipsoid, cut for a
-coarse target at the same box radius, before it adds the shell;
-classify stops there when those values already decide its label.
+walk of one problem.  _even_squares gives the squares of the even
+constants from one walk at 2 tau, whose ellipsoid is smaller, with a
+bound per square.
 
 siegel_reduction maps a point to a Siegel-reduced representative of its
 Sp(2g, Z) orbit (LLL on Im tau, shifts of Re tau, quasi-inversions), where
@@ -48,8 +43,8 @@ when the walk at tau is large.
 
 Arithmetic is double precision.  The tail bound of a ThetaValue covers
 truncation only, not the ~1e-15-per-term floating point floor;
-_even_constants also bounds the rounding of its sums, by
-(N + c) u sum|terms| over the N points summed (its docstring derives c).
+_even_constants and _even_squares also bound the rounding of their sums
+(_class_sums derives the part they share).
 """
 
 from __future__ import annotations
@@ -162,6 +157,7 @@ def truncation_tail_bound(g: int, lambda_min: float, radius: int, z_im_norm: flo
 
     Valid while (radius - 1/2) lambda_min >= |Im z|, where the shell bound
     is monotone; a small pad makes the float result a true upper bound.
+    Shells still adding to it 100000 past radius raise CapExceededError.
     """
     if radius < 1:
         raise ValueError(f"radius must be >= 1, got {radius}")
@@ -180,7 +176,8 @@ def truncation_tail_bound(g: int, lambda_min: float, radius: int, z_im_norm: flo
             break
         s += 1
         if s > radius + 100000:
-            break
+            raise CapExceededError(f"tail bound still growing {s - radius} shells past radius {radius} "
+                                   f"at lambda_min {lambda_min:.3e}")
     return total * (1 + 1e-12) + 1e-320
 
 
@@ -192,7 +189,7 @@ def truncation_radius(point: SiegelPoint, target: float, z_im_norm: float = 0.0)
     first term, at least twice that, above target, so it is skipped
     without summing its tail (one radius lower, for rounding).
     """
-    if target <= 0:
+    if not target > 0:
         raise ValueError(f"target must be positive, got {target}")
     lam = point.lambda_min
     radius = max(1, math.ceil(z_im_norm / lam + 0.5 + 1e-9))
@@ -287,111 +284,161 @@ def even_theta_constants(point: SiegelPoint, target: float) -> dict[Characterist
     lattice points whose terms can matter, keyed by characteristic: the
     values of _even_constants with their truncation bound (not the
     rounding bound) and the box radius."""
-    values, tail_bound, _, radius = next(_even_constants(point, target))
+    values, tail_bound, _, radius = _even_constants(point, target)
     return {m: ThetaValue(complex(v), tail_bound, radius) for m, v in zip(_even_tables(point.genus)[0], values)}
 
 
-def _even_constants(point: SiegelPoint, target: float, coarse: float | None = None, drift: float = 0.0):
-    """Yield (values, truncation, rounding, radius) of the even theta
-    constants at one point: values in all_characteristics(g, "even")
-    order, bounds of their truncation and rounding errors, and the box
-    radius R for target.  With a coarse target above target it yields
-    twice: first the sums over the inner ellipsoid cut for coarse at the
-    same R, whose bounds also cover the second yield's, so that their sum
-    bounds the distance between the two yields; then the sums with the
-    far points added.  A consumer that closes the generator after the
-    first yield never builds the far points.
+def _even_constants(point: SiegelPoint, target: float):
+    """(values, truncation, rounding, radius) of the even theta constants
+    at one point: values in all_characteristics(g, "even") order, bounds
+    of their truncation and rounding errors, and the box radius R for
+    target.
 
     In m = 2p = 2n + eps the boxes |n|_inf <= R of all eps classes fill
     the integer box [-2R, 2R+1]^g, and m mod 4 holds both eps (bit 0 of
     each digit) and n mod 2 (bit 1).  The delta dependence is the root of
     unity exp(pi i p^T delta) = i^{m . delta}, so the sum collapses onto
-    the 4^g classes of m mod 4, each folded with np.bincount.
+    the 4^g classes of m mod 4 that _class_sums folds, and each constant
+    is a sum of 2^g of them with weights +-1, +-i.
 
-    Only the m with q = p^T (Im tau) p <= C are summed, the cut of
-    theta_function at z = 0.  The terms of m and -m are equal, and on even
-    characteristics their classes carry the same weight (m . delta is
-    even), so the enumeration visits half of the ellipsoid and counts each
-    term twice.  It runs over |m|_inf <= E = 2R+1, the box and its mirror
-    image; the few terms this adds beyond the box are series terms, which
-    leave the bound intact.
+    Rounding.  Each constant is within the rounding bounds of its 2^g
+    classes (_class_sums); the bound adds those of all the classes.
+    """
+    sums, rounding, truncation, radius = _class_sums(point, target)
+    _, bins, weights = _even_tables(point.genus)
+    return (weights * sums[bins]).sum(axis=1), truncation, rounding.sum(), radius
+
+
+def _even_squares(point: SiegelPoint, target: float):
+    """(squares, bounds): theta_m(0, tau)^2 for the even m, in
+    all_characteristics(g, "even") order, each within its bound of the
+    exact value.
+
+    With Theta[s] = theta[s; 0](0, 2 tau) for s in F2^g, the second-order
+    identity (Mumford, Tata Lectures on Theta I, ch. II 6; Igusa, Theta
+    Functions, ch. IV) reads
+
+        theta[eps; delta](0, tau)^2 = sum_s (-1)^{delta . s} Theta[s] Theta[s + eps].
+
+    Theta[s] sums exp(pi i m^T (tau/2) m) over m = 2n + s: the classes
+    m mod 2 (bit 0 of each base-4 digit) of the walk of _class_sums at
+    2 tau, whose ellipsoid holds about 2^{-g/2} of the points of tau's.
+    Each Theta[s] is within e_s, the truncation bound at 2 tau plus the
+    rounding bounds of its 2^g classes of m mod 4.
+
+    Bound.  |A^ B^ - A B| <= |A^| e_B + |B^| e_A + e_A e_B for each
+    product of computed values A^, B^; summed over s, s -> s + eps being
+    a bijection, the squares of the exact values lie within
+    sum_s (2 |Theta^_s| e_{s+eps} + e_s e_{s+eps}) of the exact sum of the
+    computed products.  Forming it rounds a complex product by at most
+    sqrt(2) gamma_2 of its modulus (Higham, Accuracy and Stability of
+    Numerical Algorithms, lemma 3.5) and the sum of the 2^g signed terms
+    by gamma_{2^g - 1} of their moduli, so c = 2^g + 2 > 2 sqrt(2) + 2^g - 1
+    covers both in c u sum_s |Theta^_s| |Theta^_{s+eps}|.  The bound
+    depends on eps only; the factor 1 + 1e-6 covers its own rounding.
+    """
+    g = point.genus
+    sums, rounding, truncation, _ = _class_sums(_doubled(point), target)
+    sigma, pairs, eps, signs = _square_tables(g)
+
+    def fold(x):
+        return np.bincount(sigma, x, 2**g)
+
+    theta = fold(sums.real) + 1j * fold(sums.imag)
+    error = truncation + fold(rounding)
+    size = np.abs(theta)
+    squares = (signs * (theta * theta[pairs])[eps]).sum(axis=1)
+    bounds = (2 * size * error[pairs] + error * error[pairs] + (2**g + 2) * _UNIT * size * size[pairs]).sum(axis=1)
+    return squares, bounds[eps] * (1 + 1e-6)
+
+
+def _doubled(point: SiegelPoint) -> SiegelPoint:
+    """The point 2 tau with lambda_min doubled, both exact in floating point."""
+    return SiegelPoint(point.genus, point.tau * 2, point.lambda_min * 2)
+
+
+def _class_sums(point: SiegelPoint, target: float):
+    """(sums, rounding, truncation, radius): the even constants' walk at
+    one point folded onto the 4^g classes b of m mod 4, m_j = digit j of
+    b in base 4.  sums holds each class's sum of the terms
+    exp(pi i m^T (tau/4) m) and rounding a bound on its rounding error;
+    truncation is the truncation bound for target and radius its box
+    radius.
+
+    Only the m with q = m^T Im(tau/4) m <= C are summed, the cut of
+    theta_function at z = 0.  The terms of m and -m are equal, and so are
+    their classes' weights wherever two classes are combined, so the
+    enumeration visits half of the ellipsoid and counts each term twice.
+    It runs over |m|_inf <= E = 2R+1, the box and its mirror image; the
+    few terms this adds beyond the box are series terms, which leave the
+    bound intact.
 
     Rounding.  Let u be the unit roundoff, Im(tau/4) = L L^T, S = Re(tau/4)
-    and l = lambda_min / 4, so a point m has |m|_inf^2 <= q / l.  Its q is
-    a sum of g squares of partial sums sum_{j>=i} L_ji m_j, each formed in
-    g+2 operations from products of total modulus at most sum_j |L_ji|
-    |m|_inf, so q carries an error of at most
-    (3(g+2) (sum|L|)^2 / l + g+1) q u; its phase m^T S m is a sum of
-    products of total modulus at most sum|S| q / l, with error at most
-    (2g+2) sum|S| q / l u.  So the term s cos(pi phase), s = 2 exp(-pi q),
-    and the same with sin, is within (4 + a q) u s of the exact one, with
-    a = pi (3(g+2) (sum|L|)^2 / l + g+2 + (2g+3) sum|S| / l).  A constant
-    is a recursive sum of its terms (one bincount per chunk, added onto the
-    running class sums) combined over 2^g classes with weights +-1, +-i, so
-    with N the points summed plus the chunks its rounding error is at most
-    ((N + 2^g + 5) sum s + a sum s q) u, to first order in u; the factor
-    1 + 1e-6 covers the rest while N u stays below 1e-7.  The first yield's
-    rounding adds this bound for the second yield, taken a priori: at most
-    the half box, ((2E+1)^g + 1) / 2 points and as many chunks, each far
-    term of modulus below 2 exp(-pi C_coarse) (1 + 1e-9) and q <= C.
-
-    Drift.  When point.tau is a computed stand-in for an exact tau' with
-    ||tau' - point.tau||_2 <= drift (siegel_reduction's bound), a term's
-    exponent pi i p^T tau p moves by at most x = pi drift |p|^2
-    <= pi drift q / lambda_min, so the term by at most s (e^x - 1)
-    <= s x e^x.  With q <= C that adds pi drift e^{pi drift C / lambda_min}
-    / lambda_min to a, so the rounding bound covers tau' too.
+    and l = lambda_min / 4, so a point m has |m|_2^2 <= q / l.  The walk
+    forms y_i = sum_{j>=i} L_ji m_j as L_ii (m_i - mid), mid the sum over
+    j > i, built in 2(g-1) operations, over L_ii; so y_i is within
+    ((2g-1) |L_i| |m|_2 + 2 |y_i|) u, |L_i| the 2-norm of column i of L
+    below the diagonal, and by Cauchy-Schwarz q = sum y_i^2 is within
+    (2(2g-1) ||L_o||_F / sqrt(l) + g + 4) q u, L_o the part of L below its
+    diagonal.  The computed Cholesky factor adds at most
+    (g+1) ||L||_F^2 q / l u (its backward error).  The phase m^T S m,
+    formed from the same partial sums, is within
+    (2g+2) |m|^T |S| |m| u <= (2g+2) ||S||_F q / l u.  So the term
+    s cos(pi phase), s = 2 exp(-pi q), and the same with sin, is within
+    (4 + a q) u s of the exact one, with
+    a = pi (2(2g-1) ||L_o||_F / sqrt(l) + (g+1) ||L||_F^2 / l + g + 5
+    + (2g+3) ||S||_F / l).  A class sum is added up term by term, one
+    bincount per chunk onto the running sums, so it rounds at most as
+    often as it has terms: with n its terms, its error is at most
+    ((n + 4) sum s + a sum s q) u, to first order in u.  Each caller adds
+    2^g classes with weights +-1, +-i and takes 1 off class 0 (below), so
+    the bound adds 2^g u sum s for that; the factor 1 + 1e-6 covers the
+    terms of second order in u while n u stays below 1e-7.
     """
     g = point.genus
     radius = truncation_radius(point, target)
     tail = truncation_tail_bound(g, point.lambda_min, radius)
     edge = 2 * radius + 1
-    tail_bound, bound = _cut(edge**g, tail, target)
+    truncation, bound = _cut(edge**g, tail, target)
     form = point.tau / 4
-    inner = None
-    if coarse is not None:
-        coarse_bound, inner_cut = _cut(edge**g, tail, coarse)
-        inner = np.array([inner_cut])
-    slope = (3 * (g + 2) * np.abs(np.linalg.cholesky(form.imag)).sum() ** 2
-             + (2 * g + 3) * np.abs(form.real).sum()) / (point.lambda_min / 4)
-    slope = math.pi * (slope + g + 2)
-    if drift:
-        slope += math.pi * drift / point.lambda_min * math.exp(math.pi * drift * bound / point.lambda_min) / _UNIT
-
-    def rounding(n_terms, mass, q_mass):
-        return ((n_terms + 2**g + 5) * mass + slope * q_mass) * _UNIT * (1 + 1e-6)
-
-    _, bins, weights = _even_tables(g)
-    sums = np.zeros(4**g, dtype=complex)
-    mass, q_mass, n_terms = 0.0, 0.0, 0
+    chol = np.linalg.cholesky(form.imag)
+    low = point.lambda_min / 4
+    slope = math.pi * (2 * (2 * g - 1) * np.linalg.norm(np.tril(chol, -1)) / math.sqrt(low)
+                       + ((g + 1) * np.linalg.norm(chol) ** 2 + (2 * g + 3) * np.linalg.norm(form.real)) / low + g + 5)
+    n_classes = 4**g
+    sums = np.zeros(n_classes, dtype=complex)
+    count, mass, q_mass = np.zeros(n_classes), np.zeros(n_classes), np.zeros(n_classes)
     origin = np.zeros((1, g))
-
-    def folded():
-        classes = sums.copy()
-        classes[0] -= 1  # m = 0 is its own mirror image: its term 1 went in twice
-        return (weights * classes[bins]).sum(axis=1)
-
-    for chunk in _ellipsoid(form[None], np.array([bound]), np.array([edge]), origin, origin,
-                            half=True, inner=inner):
-        if chunk is None:
-            n_half = ((2 * edge + 1) ** g + 1) // 2
-            far_mass = n_half * 2 * math.exp(-math.pi * inner_cut) * (1 + 1e-9)
-            ahead = rounding(2 * n_half, mass + far_mass, q_mass + far_mass * bound)
-            yield folded(), coarse_bound + tail_bound, rounding(n_terms, mass, q_mass) + ahead, radius
-            continue
-        _, q, phase, cls = chunk
+    for _, q, phase, cls in _ellipsoid(form[None], np.array([bound]), np.array([edge]), origin, origin, half=True):
         size = 2 * np.exp(-np.pi * q)
         angle = np.pi * phase
-        sums += np.bincount(cls, size * np.cos(angle), 4**g)
-        sums += 1j * np.bincount(cls, size * np.sin(angle), 4**g)
-        mass += float(size.sum())
-        q_mass += float(size @ q)
-        n_terms += len(q) + 1  # one more addition per chunk
-    yield folded(), tail_bound, rounding(n_terms, mass, q_mass), radius
+        sums += np.bincount(cls, size * np.cos(angle), n_classes)
+        sums += 1j * np.bincount(cls, size * np.sin(angle), n_classes)
+        count += np.bincount(cls, minlength=n_classes)
+        mass += np.bincount(cls, size, n_classes)
+        q_mass += np.bincount(cls, size * q, n_classes)
+    sums[0] -= 1  # m = 0 is its own mirror image: its term 1 went in twice
+    return sums, ((count + 4 + 2**g) * mass + slope * q_mass) * _UNIT * (1 + 1e-6), truncation, radius
+
+
+def _drift_bound(point: SiegelPoint, drift: float) -> float:
+    """A bound on |theta_m(0, tau') - theta_m(0, point.tau)|, for every m,
+    when ||tau' - point.tau||_2 <= drift (siegel_reduction's bound).
+
+    A term exp(pi i p^T tau p), p in Z^g + eps/2, has modulus at most
+    exp(-pi lambda_min |p|^2) and moves by at most that times
+    e^x - 1 <= x e^x, x = pi drift |p|^2: with mu = lambda_min - drift
+    and y e^-y <= 1/e at y = pi mu |p|^2 / 2, by at most
+    2 drift / (e mu) exp(-pi (mu/2) |p|^2).  Over p that sum splits into
+    g line sums, each at most 2 + sqrt(2 / mu) by the integral of
+    exp(-pi (mu/2) k^2).
+    """
+    mu = point.lambda_min - drift
+    return 2 * drift / (math.e * mu) * (2 + math.sqrt(2 / mu)) ** point.genus * (1 + 1e-9)
 
 
 def _ellipsoid(forms: np.ndarray, bounds, edges, centers, shifts, half: bool = False,
-               limit: int = _ELLIPSOID_CHUNK, inner=None):
+               limit: int = _ELLIPSOID_CHUNK):
     """Yield (prob, q, phase, cls) arrays, in chunks of about `limit`, over
     P problems of one genus given by stacked forms (P, g, g), bounds and
     edges (P,) and centers and shifts (P, g).  Problem p holds the
@@ -406,16 +453,6 @@ def _ellipsoid(forms: np.ndarray, bounds, edges, centers, shifts, half: bool = F
     x_{g-1} down, is positive are visited.  That is half of the sum only
     when center = 0 and shift = 0, where x and -x carry the same q and
     phase.
-
-    With inner (P,), inner <= bounds, every near point comes first, then
-    a None marker, then the far points: at the last level each parent's
-    x_0 interval [first, last] holds the sub-interval of q <= inner[p],
-    taken from the same mid, q and L_00, so it lies inside [first, last].  The near
-    chunks run over that sub-interval; the parents are kept, and after
-    the marker the far chunks run over the rest of their intervals.  So
-    the near and far points together are exactly the points of the walk
-    without inner, and a consumer that closes the generator at the marker
-    never builds the far ones.
 
     Fincke-Pohst: with Im form = L L^T,
     q = sum_i (sum_{j>=i} L_ji (x_j - center_j))^2, so once x_{i+1}, ...,
@@ -438,20 +475,6 @@ def _ellipsoid(forms: np.ndarray, bounds, edges, centers, shifts, half: bool = F
     # [:, p, i]: L_ii, Re_ii, bound and edge of problem p at level i
     levels = np.array([chol.diagonal(0, 1, 2), forms.real.diagonal(0, 1, 2),
                        bounds[:, None].repeat(g, 1), edges[:, None].repeat(g, 1)])
-    kept = []  # the last level's parents and their near runs, for the far points
-
-    def children(first, count, per_parent, parents, i):
-        # the points first[k], ..., first[k] + count[k] - 1 of each run k,
-        # as (new, prob, q, phase, cls); parent j has per_parent[j] of them
-        mid, lin, diag, re_ii, q, phase, cls, prob = parents
-        new = (first - (np.cumsum(count) - count)).repeat(count) + np.arange(int(count.sum()))
-        if prob[0] == prob[-1]:  # one problem: its coefficients broadcast
-            diag, re_ii = diag[:1], re_ii[:1]
-        else:
-            diag, re_ii = diag.repeat(per_parent), re_ii.repeat(per_parent)
-        q = q.repeat(per_parent) + (diag * (new - mid.repeat(per_parent))) ** 2
-        phase = phase.repeat(per_parent) + new * (re_ii * new + (2 * lin).repeat(per_parent))
-        return new, prob.repeat(per_parent), q, phase, cls.repeat(per_parent) + ((new & 3) << (2 * i))
 
     def expand(part, zero, q, phase, cls, prob, i):
         # zero marks an all-zero prefix x_{g-1}, ..., x_{i+1}
@@ -470,39 +493,24 @@ def _ellipsoid(forms: np.ndarray, bounds, edges, centers, shifts, half: bool = F
             for cut in (slice(None, at), slice(at, None)):
                 yield from expand(part[cut], zero[cut], q[cut], phase[cut], cls[cut], prob[cut], i)
             return
-        parents = (mid, lin, diag, re_ii, q, phase, cls, prob)
-        if i == 0 and inner is not None:
-            # inner <= bound, and every step below is monotone in it, so the
-            # near run starts at or after first and ends at or before the
-            # last point; it is empty where its end falls before its start
-            half_width = np.sqrt(np.maximum(inner.take(prob) - q, 0.0)) / diag
-            skip = np.minimum(np.maximum(np.ceil(mid - half_width), low).astype(np.int64) - first, count)
-            near = np.maximum(np.minimum(np.floor(mid + half_width), edge).astype(np.int64) - first - skip + 1, 0)
-            kept.append((first, skip, near, count, parents))
-            if near.any():
-                yield children(first + skip, near, near, parents, 0)[1:]
-            return
-        new, prob, q, phase, cls = children(first, count, count, parents, i)
-        del mid, lin, diag, re_ii, bound, edge, half_width, first, parents  # free the parents' arrays
+        new = (first - (np.cumsum(count) - count)).repeat(count) + np.arange(total)
+        if prob[0] == prob[-1]:  # one problem: its coefficients broadcast
+            diag, re_ii = diag[:1], re_ii[:1]
+        else:
+            diag, re_ii = diag.repeat(count), re_ii.repeat(count)
+        q = q.repeat(count) + (diag * (new - mid.repeat(count))) ** 2
+        phase = phase.repeat(count) + new * (re_ii * new + (2 * lin).repeat(count))
+        cls = cls.repeat(count) + ((new & 3) << (2 * i))
+        prob = prob.repeat(count)
+        del mid, lin, diag, re_ii, bound, edge, half_width, first  # free the parents' arrays
         if i == 0:
             yield prob, q, phase, cls
         else:
             part = part[:, :2 * i].repeat(count, axis=0) + steps[i, :, :2 * i].take(prob, axis=0) * new[:, None]
             yield from expand(part, zero.repeat(count) & (new == 0), q, phase, cls, prob, i - 1)
 
-    try:
-        yield from expand(start, np.full(n_prob, half), np.zeros(n_prob), np.zeros(n_prob),
-                          np.zeros(n_prob, dtype=np.int64), np.arange(n_prob), g - 1)
-        if inner is not None:
-            yield None
-            while kept:
-                first, skip, near, count, parents = kept.pop(0)
-                far = count - near
-                if far.any():  # per parent, the run before its near run and the one after it
-                    runs = np.stack([first, first + skip + near], axis=1).ravel()
-                    yield children(runs, np.stack([skip, far - skip], axis=1).ravel(), far, parents, 0)[1:]
-    finally:
-        kept.clear()  # expand's closure is a reference cycle: it would hold the parents until the next collection
+    yield from expand(start, np.full(n_prob, half), np.zeros(n_prob), np.zeros(n_prob),
+                      np.zeros(n_prob, dtype=np.int64), np.arange(n_prob), g - 1)
 
 
 @cache
@@ -519,6 +527,23 @@ def _even_tables(g: int):
     bins = (digits << (2 * np.arange(g))).sum(axis=2)
     weights = np.array([1, 1j, -1, -1j])[(digits * delta[:, None, :]).sum(axis=2) % 4]
     return evens, bins, weights
+
+
+@cache
+def _square_tables(g: int):
+    """The point-independent part of _even_squares, built once per genus:
+    sigma, each class b of m mod 4 as its class m mod 2,
+    sum_j (m_j mod 2) 2^j; pairs[e, s] = s ^ e over those classes; and
+    for each even characteristic its eps as such a class and the signs
+    (-1)^{delta . s} over s."""
+    evens = all_characteristics(g, "even")
+    bit = 1 << np.arange(g)
+    eps = np.array([m.eps for m in evens]) @ bit
+    delta = np.array([m.delta for m in evens]) @ bit
+    codes = np.arange(1 << g)
+    sigma = ((np.arange(4**g)[:, None] >> (2 * np.arange(g))) & 1) @ bit
+    odd = np.array([c.bit_count() & 1 for c in range(1 << g)])
+    return sigma, codes[None, :] ^ codes[:, None], eps, 1.0 - 2 * odd[delta[:, None] & codes]
 
 
 class SiegelReduction(NamedTuple):
@@ -744,7 +769,10 @@ def point_to_json(point: SiegelPoint) -> dict:
 
 
 def point_from_json(obj: dict) -> SiegelPoint:
-    g = int(obj["genus"])
+    g = obj["genus"]
+    if not (type(g) is int or isinstance(g, float) and g.is_integer()):
+        raise ValueError(f"genus must be an integer, got {g!r}")
+    g = int(g)
     rows = obj["tau"]
     if len(rows) != g or any(len(row) != g for row in rows):
         raise ValueError(f"tau must be a {g}x{g} matrix of [re, im] pairs")

@@ -19,13 +19,11 @@ from thetastrata.chars import (
     split,
 )
 from thetastrata.classify import (
-    COARSE_TARGET,
     MARGIN_FLOOR,
     THETA_TARGET,
     _LABELS,
     StratumReport,
     _basis_element,
-    _certified_x0,
     _decide,
     REDUCE_WALK,
     _even_slots,
@@ -49,14 +47,16 @@ from thetastrata.symplectic import (
     tuples_equivalent,
 )
 from thetastrata.theta import (
+    _doubled,
+    _drift_bound,
     _even_constants,
+    _even_squares,
     block_diag,
     even_theta_constants,
     generic_siegel_point,
     point_to_json,
     random_siegel_point,
     siegel_action,
-    SiegelReduction,
     siegel_reduction,
     truncation_radius,
     validate_siegel,
@@ -132,14 +132,17 @@ class TestVanishingSet:
         assert len(expected) == 55
 
     def test_precomputed_constants_give_the_same_set(self, block_13):
-        # the kernel's array gives the set that even_theta_constants' dict gives
+        # the squares kernel gives the set and the warning that
+        # even_theta_constants' dict gives
         for point in (generic_siegel_point(4, 200), block_13):
             constants = even_theta_constants(point, THETA_TARGET)
             values = np.array([tv.value for tv in constants.values()])
             truncation = max(tv.tail_bound for tv in constants.values())
             for threshold in (1e-6, 1e-3):
-                from_dict = _vanishing(list(constants), values, truncation, threshold)
-                assert vanishing_set(point, threshold) == from_dict
+                from_dict = _vanishing(list(constants), values, np.full(len(values), truncation), threshold)
+                rep = vanishing_set(point, threshold)
+                assert (rep.members, rep.warning) == (from_dict.members, from_dict.warning)
+                assert rep.scale == pytest.approx(from_dict.scale, rel=1e-12)
 
     def test_margin_warning_fires_for_adversarial_threshold(self):
         p = generic_siegel_point(4, 201)
@@ -171,13 +174,8 @@ class TestThreshold:
         def no_theta(*args):
             raise AssertionError("theta constants summed before the threshold check")
 
-        def no_theta_passes(*args):
-            # a generator function: its first next(), not its call, sums
-            no_theta()
-            yield
-
         module = importlib.import_module("thetastrata.classify")
-        monkeypatch.setattr(module, "_even_constants", no_theta_passes)
+        monkeypatch.setattr(module, "_even_squares", no_theta)
         with pytest.raises(ValueError, match="got nan"):
             classify(generic_siegel_point(4, 1), rel_threshold=float("nan"))
         with pytest.raises(AssertionError, match="before the threshold check"):
@@ -186,6 +184,20 @@ class TestThreshold:
     def test_one_is_allowed(self):
         # every constant but the largest lies below the whole scale
         assert len(vanishing_set(generic_siegel_point(4, 1), 1.0)) == 135
+
+    @pytest.mark.parametrize("evaluate", [classify, vanishing_set])
+    def test_threshold_below_the_resolution_is_refused(self, evaluate):
+        # |theta| resolves to sqrt(theta^2 bound) / scale, about 3e-7 here:
+        # a threshold at or below that has no certain comparisons, and no
+        # other route is tried
+        point = generic_siegel_point(4, 1)
+        squares, bounds = _even_squares(point, THETA_TARGET)
+        resolution = math.sqrt(bounds.max() / np.abs(squares).max())
+        assert 1e-7 < resolution < 1e-6
+        for threshold in (1e-9, resolution * (1 - 1e-6)):
+            with pytest.raises(ValueError, match="rel_threshold .* at or below the resolution"):
+                evaluate(point, threshold)
+        evaluate(point, resolution * 1.01)
 
 
 class TestDetectSplit:
@@ -724,7 +736,7 @@ PLAN_FAMILIES = {
 
 def _plan_points(workload, seed):
     rng = np.random.default_rng([seed, ("generic", "strata", "split22").index(workload)])
-    radius = lambda p: truncation_radius(p, THETA_TARGET)  # noqa: E731
+    radius = lambda p: truncation_radius(p, 1e-12)  # noqa: E731  # perfbench's TARGET
     if workload == "generic":
         points = []
         while len(points) < 20:
@@ -767,13 +779,20 @@ def _cusp_points():
             for base in (generic_siegel_point(4, s) for s in (200, 201, 202)) for t in (1, 2, 3, 4, 6, 8)]
 
 
-def _full_path(point, threshold):
-    """classify's report by the route that sums every constant to
-    THETA_TARGET: one _even_constants pass, the forms, the vanishing set
-    and _decide, with the constants it used."""
-    values, truncation, _, _ = next(_even_constants(point, THETA_TARGET))
+def _full_path(point, threshold, reduced=False):
+    """classify's report by the direct route: one _even_constants pass to
+    THETA_TARGET at tau, the forms, the vanishing set and _decide, with
+    the constants it used.  With reduced, the pass runs at the
+    siegel_reduction gamma o tau and reads the constant of m from slot
+    gamma . m."""
+    if reduced:
+        gamma, at, _ = siegel_reduction(point)
+        values, truncation, _, _ = _even_constants(at, THETA_TARGET)
+        values = values[_even_slots(gamma)]
+    else:
+        values, truncation, _, _ = _even_constants(point, THETA_TARGET)
     mags = {fid: fv.relative_magnitude for fid, fv in _forms(values, 4).items()}
-    vrep = _vanishing(all_characteristics(4, "even"), values, truncation, threshold)
+    vrep = _vanishing(all_characteristics(4, "even"), values, np.full(len(values), truncation), threshold)
     warnings = ()
     if vrep.warning:
         warnings = (f"ill-separated vanishing spectrum: margin {vrep.margin:.3g} < {MARGIN_FLOOR}",)
@@ -782,32 +801,6 @@ def _full_path(point, threshold):
     report = StratumReport(label, mags, vrep.members, splits, threshold, THETA_TARGET, vrep.margin,
                            warnings, tuple(notes))
     return report, values
-
-
-def _form_bounds(values, error):
-    """Bounds on how far the relative magnitudes of F_T, Theta_null and F_1
-    move when every constant moves by at most error from values: for F_T
-    the D of classify._certified_x0 times 1 + F_T's relative magnitude,
-    over the normalizer less D; for
-    the products, their degree times the relative change of one factor
-    and of the RMS scale, over the sum of the products' moduli (no bound
-    where some constant lies within error of zero)."""
-    x = np.abs(values) / np.abs(values).max()
-    e = error / np.abs(values).max()
-    p = lambda y: 16 * (y**16).sum() + ((y**8).sum()) ** 2  # noqa: E731
-    norm = (x**16).sum() + ((x**8).sum()) ** 2
-    d = p(x + e) - p(x) + (4 * len(x) + 64) * 2**-53 * p(x + e)
-    t8 = (values / np.abs(values).max()) ** 8
-    ft = abs(16 * (t8 * t8).sum() - t8.sum() ** 2) / norm
-    bounds = {"FT": d * (1 + ft) / (norm - d), "THETANULL": math.inf, "F1": math.inf}
-    if (x > 2 * e).all():
-        n, rms = len(x), math.sqrt((x**2).mean())
-        rel, s_rel = (e / (x - e)).sum(), e / (rms - e)  # relative changes of the factors and the scale
-        logs = np.log(x / rms)
-        bounds["THETANULL"] = math.expm1(rel + n * s_rel) * math.exp(logs.sum())
-        # the exclusion products over n s^(8(n-1))
-        bounds["F1"] = math.expm1(8 * (rel + (n - 1) * s_rel)) * np.exp(8 * (logs.sum() - logs)).sum() / n
-    return bounds
 
 
 def _decision(report):
@@ -822,98 +815,73 @@ def decision_points(block_13, block_22, block_112):
     return points + _cusp_points()
 
 
+@pytest.fixture(scope="module")
+def evidence_points(decision_points):
+    """The decision points and the 20 L = 30 images."""
+    return decision_points + [image for _, image in _long_words()]
+
+
 class TestCoarseDecision:
+    """classify's one pass over the squares at 2 tau against the direct
+    route, which sums every constant at tau.  (The class name is kept so
+    the ids of its tests stay the same.)"""
+
     def test_plan_points_rebuilt(self):
         # the rebuilt plans have the perfbench sizes and radius slots
         assert [len(_plan_points(w, 1)) for w in ("generic", "strata", "split22")] == [20, 20, 3]
-        radii = [truncation_radius(p, THETA_TARGET) for p in _plan_points("strata", 2)]
+        radii = [truncation_radius(p, 1e-12) for p in _plan_points("strata", 2)]
         assert radii == [5, 5, 6, 7, 8] * 4
 
-    def test_same_decisions_as_the_full_path(self, decision_points):
-        # decisions against the full route at tau itself; margin and forms
-        # against the full route at the representative classify sums at
-        targets = set()
-        for point in decision_points:
-            reduction = SiegelReduction(*_representative(point))
-            ref, values = _full_path(point, 1e-6)
+    def test_same_decisions_as_the_full_path(self, evidence_points):
+        # at the default threshold, the whole scale and just above the
+        # smallest constant the default keeps; an image whose direct walk
+        # at tau passes the radius cap is compared at its reduced point,
+        # with the constants moved back to their slots
+        for point in evidence_points:
+            reduced = False
+            try:
+                truncation_radius(point, THETA_TARGET)
+            except CapExceededError:
+                reduced = True
+            values = _full_path(point, 1e-6, reduced)[1]
             mags = np.abs(values) / np.abs(values).max()
             above = mags[mags >= 1e-6].min()  # the smallest constant the default threshold keeps
             for threshold in (1e-6, 1.0, min(1.0, above * 1.05)):
-                if threshold != 1e-6:
-                    ref, values = _full_path(point, threshold)
-                at_reduced = _full_path(reduction.point, threshold)[0]
+                ref = _full_path(point, threshold, reduced)[0]
                 rep = classify(point, threshold)
                 assert _decision(rep) == _decision(ref), (threshold, rep.label, ref.label)
-                targets.add(rep.theta_target)
-                if rep.theta_target == THETA_TARGET:
-                    assert rep.margin == pytest.approx(at_reduced.margin, rel=1e-9)
-                    continue
-                # decided: X0 from the inner ellipsoid, forms within the
-                # derived bound of the full pass's
-                assert rep.theta_target == COARSE_TARGET
-                assert rep.label == "X0" and rep.vanishing == () and rep.margin == float("inf")
-                passes = _even_constants(reduction.point, THETA_TARGET, COARSE_TARGET, reduction.drift)
-                coarse, truncation, rounding, _ = next(passes)
-                passes.close()
-                bounds = _form_bounds(coarse, truncation + rounding)
-                for fid, bound in bounds.items():
-                    assert abs(rep.form_magnitudes[fid] - at_reduced.form_magnitudes[fid]) <= bound, fid
-        assert targets == {COARSE_TARGET, THETA_TARGET}  # both paths ran
-
-    def test_forced_fallback_matches_the_full_path(self, decision_points, monkeypatch):
-        monkeypatch.setattr(importlib.import_module("thetastrata.classify"), "_certified_x0",
-                            lambda *args: False)
-        for point in decision_points:
-            reduced = _representative(point)[1]
-            ref = _full_path(point, 1e-6)[0]
-            at_reduced, values = _full_path(reduced, 1e-6)
-            rep = classify(point)
-            assert _decision(rep) == _decision(ref)
-            assert rep.theta_target == THETA_TARGET
-            # the two orders of summation differ by at most the rounding bound
-            rounding = list(_even_constants(reduced, THETA_TARGET))[0][2]
-            for fid, bound in _form_bounds(values, rounding).items():
-                moved = abs(rep.form_magnitudes[fid] - at_reduced.form_magnitudes[fid])
-                assert moved <= bound or moved == 0, fid
-            # only the margin's vanishing side changed: it is floored at the truncation bound
-            mags = np.abs(values) / np.abs(values).max()
-            low = mags < 1e-6
-            if low.any():
-                tail = next(iter(even_theta_constants(reduced, THETA_TARGET).values())).tail_bound
-                floored = mags[~low].min() / max(mags[low].max(), tail / np.abs(values).max())
-                assert rep.margin == pytest.approx(floored, rel=1e-9)
-                assert rep.margin <= mags[~low].min() / mags[low].max()
-            else:
-                assert rep.margin == float("inf")
-
-    def test_certificate_needs_both_margins(self):
-        values, truncation, rounding, _ = next(_even_constants(generic_siegel_point(4, 1), THETA_TARGET,
-                                                               COARSE_TARGET))
-        error = truncation + rounding
-        ft = _forms(values, 4)["FT"].relative_magnitude
-        assert _certified_x0(values, error, 1e-6, 4)
-        # one constant within error of the threshold
-        low = values.copy()
-        low[7] *= (1e-6 * np.abs(values).max() + error / 2) / abs(values[7])
-        assert _forms(low, 4)["FT"].relative_magnitude > 1e-3
-        assert _certified_x0(low, 0.0, 1e-6, 4) and not _certified_x0(low, error, 1e-6, 4)
-        # F_T above the threshold by less than its error
-        assert _certified_x0(values, 0.0, ft * (1 - 1e-6), 4)
-        assert not _certified_x0(values, error, ft * (1 - 1e-6), 4)
-        assert not _certified_x0(values, 0.0, ft * (1 + 1e-6), 4)
+                assert rep.theta_target == THETA_TARGET
 
     def test_cusp_labels_unchanged(self):
         # the known wrong cusp labels (X1 from t = 2 or 3, X3 at t = 8) are
-        # the full pass's: the coarse test decides only t = 1 and 2
+        # the direct route's too
         labels = [classify(p).label for p in _cusp_points()]
         assert labels[0] == labels[6] == labels[12] == "X0"
         assert labels == [_full_path(p, 1e-6)[0].label for p in _cusp_points()]
 
     def test_report_names_its_target(self, block_13):
         generic = classify(generic_siegel_point(4, 1)).to_json()
-        assert generic["theta_target"] == COARSE_TARGET
+        assert generic["theta_target"] == THETA_TARGET == 1e-14
         assert classify(block_13).to_json()["theta_target"] == THETA_TARGET
         assert classify_from_pattern(True).to_json()["theta_target"] is None
+
+    def test_squares_match_the_direct_route(self, evidence_points):
+        # |theta^2 - theta_direct^2| <= bound + 2 |theta_direct| b + b^2,
+        # b the direct route's truncation plus rounding bound, at the
+        # point each route sums
+        for point in evidence_points:
+            point = _representative(point)[1]
+            squares, bounds = _even_squares(point, THETA_TARGET)
+            values, truncation, rounding, _ = _even_constants(point, THETA_TARGET)
+            b = truncation + rounding
+            assert (np.abs(squares - values**2) <= bounds + 2 * np.abs(values) * b + b * b).all()
+            assert bounds.max() < 1e-12 * np.abs(squares).max()
+            # where F_T survives, the forms agree to 1e-8 relative (at most
+            # 2e-10 on these points, F_T losing digits to its cancellation)
+            mags, direct = _forms(np.sqrt(squares), 4), _forms(values, 4)
+            if direct["FT"].relative_magnitude >= 1e-6:
+                for fid, fv in direct.items():
+                    assert mags[fid].relative_magnitude == pytest.approx(fv.relative_magnitude, rel=1e-8), fid
 
 
 def _long_words():
@@ -925,9 +893,8 @@ def _long_words():
 
 
 @pytest.fixture(scope="module")
-def reductions(decision_points):
-    points = decision_points + [image for _, image in _long_words()]
-    return [(point, siegel_reduction(point)) for point in points]
+def reductions(evidence_points):
+    return [(point, siegel_reduction(point)) for point in evidence_points]
 
 
 def _blocks(gamma):
@@ -1006,31 +973,31 @@ class TestSiegelReduction:
                 assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-12)
 
     def test_rounding_bound_covers_the_drift(self):
-        # the sums at tau_r and at a point a distance delta away differ by
-        # no more than the rounding bound taken with drift delta, plus the
-        # two sums' own bounds; without the drift term the bound is too small
+        # the moduli at tau_r and at a point a distance delta away differ
+        # by no more than the two kernels' bounds on them plus the drift
+        # bound for delta; without the drift bound the sum is too small
         r = siegel_reduction(_plan_points("strata", 1)[4])
         rng = np.random.default_rng(11)
         step = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         step = (step + step.T) / 2
-        delta = 1e-7
+        delta = 1e-5
         moved = validate_siegel(r.point.tau + delta * step / np.linalg.norm(step, 2))
-        here, truncation, rounding, _ = next(_even_constants(r.point, THETA_TARGET, drift=delta))
-        there, truncation2, rounding2, _ = next(_even_constants(moved, THETA_TARGET))
-        plain = next(_even_constants(r.point, THETA_TARGET))[2]
-        gap = np.abs(here - there).max()
-        assert gap <= truncation + rounding + truncation2 + rounding2
-        assert gap > plain + truncation + truncation2 + rounding2
+        here, bounds = _even_squares(r.point, THETA_TARGET)
+        there, bounds2 = _even_squares(moved, THETA_TARGET)
+        gap = np.abs(np.sqrt(np.abs(here)) - np.sqrt(np.abs(there)))
+        plain = np.sqrt(bounds) + np.sqrt(bounds2)
+        assert (gap <= plain + _drift_bound(r.point, delta)).all()
+        assert (gap > plain).any()
+        assert _drift_bound(r.point, 0.0) == 0.0
 
 
-def test_classify_json_pinned(decision_points):
+def test_classify_json_pinned(evidence_points):
     # every byte of classify's reports on the decision points and the
-    # long-word images, as the theta walk gave them when it rebuilt each
-    # level's centre and phase sums from the fixed coordinates
+    # long-word images, as the squares at 2 tau gave them
     h = hashlib.sha256()
-    for point in decision_points + [image for _, image in _long_words()]:
+    for point in evidence_points:
         h.update(json.dumps(classify(point).to_json(), sort_keys=True).encode() + b"\n")
-    assert h.hexdigest() == "e4d5e5e72f335eb4de20adea28e736ca2cfb8dccf93dd95a87ac8e9a5fc68cfd"
+    assert h.hexdigest() == "7a6d840ca9606ed94d8e065a429f6a3db96ccae0ec3dffd2258532aa2c4c83e7"
 
 
 class TestLongWords:
@@ -1047,8 +1014,8 @@ class TestLongWords:
     def test_images_decide_as_their_sources(self):
         # label and split outcomes match the source's; the vanishing set
         # moves by the word mod 2; both margins are well separated (the two
-        # reduce to different representatives, so the margins' truncation
-        # floors differ)
+        # reduce to different representatives, so the margins' error floors
+        # differ)
         for seed in (1, 2, 3):
             points = _plan_points("strata", seed)
             for family, (_, slots) in enumerate(PLAN_FAMILIES["strata"]):
@@ -1085,8 +1052,9 @@ class TestRepresentative:
         theta = importlib.import_module("thetastrata.theta")
         for point in _plan_points("strata", 2):
             visited = 0
-            for chunk in theta._ellipsoid(point.tau[None] / 4, np.array([theta._truncation(point, THETA_TARGET)[2]]),
-                                          np.array([2 * truncation_radius(point, THETA_TARGET) + 1]),
+            doubled = _doubled(point)
+            radius, _, bound = theta._truncation(doubled, THETA_TARGET)
+            for chunk in theta._ellipsoid(point.tau[None] / 2, np.array([bound]), np.array([2 * radius + 1]),
                                           np.zeros((1, 4)), np.zeros((1, 4)), half=True):
                 visited += len(chunk[1])
             assert 0.8 < _walk(point) / visited < 1.25

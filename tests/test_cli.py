@@ -97,7 +97,8 @@ def test_cap_raises_except_where_classify_reduces(capsys, tmp_path):
     # an image under a length-30 word: at tau itself the theta box radius
     # passes the cap, so every entry point that sums there raises, and
     # classify alone, which sums at the Siegel-reduced representative,
-    # gives a label
+    # gives a label; vanishing_set sums at 2 tau, within the cap, where
+    # the squares' bounds cannot resolve the default threshold
     point = siegel_action(random_symplectic(4, 30, 9006), generic_siegel_point(4, 200))
     path = tmp_path / "longword.json"
     path.write_text(json.dumps(point_to_json(point)))
@@ -108,9 +109,11 @@ def test_cap_raises_except_where_classify_reduces(capsys, tmp_path):
         assert captured.out == ""
         assert captured.err.startswith("error: truncation radius cap 64 exceeded")
         assert captured.err.count("\n") == 1
-    for evaluate in (vanishing_set, evaluate_forms, lambda p: even_theta_constants(p, 1e-12)):
+    for evaluate in (evaluate_forms, lambda p: even_theta_constants(p, 1e-12)):
         with pytest.raises(CapExceededError):
             evaluate(point)
+    with pytest.raises(ValueError, match="rel_threshold 1e-06 is at or below the resolution"):
+        vanishing_set(point)
 
 
 def test_classify_block(capsys, tmp_path):
@@ -123,8 +126,9 @@ def test_classify_block(capsys, tmp_path):
     assert len(out["vanishing"]) == 36
 
 
-@pytest.mark.parametrize("threshold", ["nan", "inf", "2", "0", "-1e-6"])
+@pytest.mark.parametrize("threshold", ["nan", "inf", "2", "0", "-1e-6", "1e-9"])
 def test_classify_bad_threshold_is_domain_error(capsys, tau4_file, threshold):
+    # 1e-9 lies below the resolution of the theta constants at i*1_4
     assert cli.run(["classify", "--tau", tau4_file, f"--threshold={threshold}"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -229,6 +233,8 @@ def test_verify_bad_genus_is_domain_error(capsys, genus):
     (["eval"], "eval needs --form"),
     (["verify", "orbit-oracle", "--genus", "3"], "exhaustive oracle comparison is supported for genus 1 and 2"),
     (["verify", "schottky-degeneration", "--genus", "5", "--seed", "1"], "schottky degeneration check"),
+    (["eval", "theta", "--char", "0000|0000", "--target", "nan"], "target must be positive"),
+    (["eval", "--form", "FT", "--target", "nan"], "target must be positive"),
 ])
 def test_outside_input_is_domain_error(capsys, tau4_file, argv, message):
     if argv[0] == "eval":

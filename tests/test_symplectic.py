@@ -454,6 +454,11 @@ def test_json_round_trip():
     assert SymplecticModTwo.from_json(reduced.to_json()) == reduced
 
 
+def test_repr_names_the_class_and_blocks():
+    assert repr(SymplecticInteger.identity(1)) == "SymplecticInteger(1, ((1,),), ((0,),), ((0,),), ((1,),))"
+    assert repr(SymplecticModTwo.identity(1)) == "SymplecticModTwo(1, ((1,),), ((0,),), ((0,),), ((1,),))"
+
+
 def test_profile_is_hashable_value():
     prof = orbit_profile(product_split_tuple(2, 1))
     assert isinstance(prof, OrbitProfile)

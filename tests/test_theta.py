@@ -1,8 +1,6 @@
-import gc
 import itertools
 import json
 import math
-import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -13,10 +11,9 @@ from thetastrata.chars import Characteristic, all_characteristics, concat, produ
 from thetastrata.errors import CapExceededError
 from thetastrata.symplectic import SymplecticInteger, random_symplectic, standard_generators
 from thetastrata.theta import (
-    _cut,
     _ellipsoid,
     _even_constants,
-    _truncation,
+    _even_squares,
     block_diag,
     even_theta_constants,
     generic_siegel_point,
@@ -123,6 +120,18 @@ class TestTruncation:
         p = validate_siegel([[1e-6j]])
         with pytest.raises(CapExceededError, match="cap"):
             truncation_radius(p, 1e-300)
+
+    def test_tail_bound_that_needs_too_many_shells_raises(self):
+        # at lambda_min 1e-10 the shells of a genus-4 box from radius 1 are
+        # still growing 100000 shells out: their partial sum, 2.66e20, is
+        # below what the shells up to 2,000,000 already add up to
+        with pytest.raises(CapExceededError, match="still growing"):
+            truncation_tail_bound(4, 1e-10, 1)
+
+    @pytest.mark.parametrize("target", [math.nan, 0.0, -1e-10])
+    def test_target_must_be_positive(self, target):
+        with pytest.raises(ValueError, match="target must be positive"):
+            truncation_radius(validate_siegel(1j * np.eye(2)), target)
 
     def test_monotone_in_radius(self):
         vals = [truncation_tail_bound(3, 0.4, r) for r in range(1, 12)]
@@ -415,91 +424,32 @@ class TestThetaFunctions:
         assert np.all(counts == single)
 
 
-def _even_walk(point, coarse=None, limit=1 << 16):
-    """The walk of _even_constants at target 1e-12, with the inner cut for
-    `coarse` at the same radius, and that cut."""
-    radius, _, bound = _truncation(point, 1e-12)
-    tail = truncation_tail_bound(point.genus, point.lambda_min, radius)
-    inner = None if coarse is None else _cut((2 * radius + 1) ** point.genus, tail, coarse)[1]
-    origin = np.zeros((1, point.genus))
-    walk = _ellipsoid((point.tau / 4)[None], np.array([bound]), np.array([2 * radius + 1]), origin, origin,
-                      half=True, limit=limit, inner=None if inner is None else np.array([inner]))
-    return walk, inner
+class TestSquares:
+    """_even_squares against the direct route at genus 1-3 (tests/test_classify.py
+    covers genus 4)."""
 
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_squares_match_the_direct_route(self, g):
+        rng = np.random.default_rng(40 + g)
+        points = [random_siegel_point(g, rng), generic_siegel_point(g, rng)]
+        points.append(siegel_action(random_symplectic(g, 6, 50 + g), points[1]))
+        for point in points:
+            squares, bounds = _even_squares(point, 1e-14)
+            constants = even_theta_constants(point, 1e-12).values()
+            values, truncation, rounding, radius = _even_constants(point, 1e-12)
+            # the dict wraps the kernel's values, truncation bound and radius
+            assert np.array_equal(values, [tv.value for tv in constants])
+            assert {(tv.tail_bound, tv.radius) for tv in constants} == {(truncation, radius)}
+            b = truncation + rounding
+            assert (np.abs(squares - values**2) <= bounds + 2 * np.abs(values) * b + b * b).all()
+            assert bounds.max() < 1e-12 * np.abs(squares).max()
 
-def _visits(chunks):
-    """The sorted (q, phase, cls) of the points in chunks."""
-    return sorted(itertools.chain.from_iterable(zip(q.tolist(), phase.tolist(), cls.tolist())
-                                                for _, q, phase, cls in chunks))
-
-
-class TestInnerCut:
-    """_ellipsoid with an inner cut: the near points, a None marker, then
-    the far points, which together are the points of the walk without it."""
-
-    @pytest.mark.parametrize("word, radius", [(6018, 5), (None, 6), (6038, 7), (6057, 8)])
-    def test_near_and_far_partition_the_walk(self, word, radius):
-        point = generic_siegel_point(4, 70)
-        if word is not None:
-            point = siegel_action(random_symplectic(4, 6, word), point)
-        assert truncation_radius(point, 1e-12) == radius
-        whole = _visits(_even_walk(point)[0])
-        for limit in (1 << 16, 500):
-            walk, inner = _even_walk(point, 1e-6, limit)
-            chunks = list(walk)
-            assert sum(chunk is None for chunk in chunks) == 1
-            at = chunks.index(None)
-            near, far = _visits(chunks[:at]), _visits(chunks[at + 1:])
-            assert near and far
-            assert sorted(near + far) == whole  # the same multiset, bit for bit
-            assert max(q for q, _, _ in near) <= inner * (1 + 1e-9) < min(q for q, _, _ in far) * (1 + 2e-9)
-            if limit == 500:
-                assert at > 2 and len(chunks) - at > 2
-
-    def test_closing_at_the_marker_releases_the_parents(self):
-        point = siegel_action(random_symplectic(4, 6, 6057), generic_siegel_point(4, 70))
-        walk, _ = _even_walk(point, 1e-6)
-        near = []
-        for chunk in walk:
-            if chunk is None:
-                break
-            near.append(chunk)
-        assert _visits(near) == _visits(list(_even_walk(point, 1e-6)[0])[:len(near)])
-        # the kept parents of the far points go when the walk is closed,
-        # not at the next cyclic garbage collection
-        gc.collect()
-        gc.disable()
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            walk, _ = _even_walk(point, 1e-6)
-            for chunk in walk:
-                if chunk is None:
-                    break
-            del chunk
-            held = tracemalloc.get_traced_memory()[0] - start
-            walk.close()
-            left = tracemalloc.get_traced_memory()[0] - start
-        finally:
-            tracemalloc.stop()
-            gc.enable()
-        assert held > 100_000 and left < held / 10, (held, left)
-
-    @pytest.mark.parametrize("word", [None, 6038])
-    def test_passes_agree_within_their_bounds(self, word):
-        point = generic_siegel_point(4, 71)
-        if word is not None:
-            point = siegel_action(random_symplectic(4, 6, word), point)
-        reference = np.array([tv.value for tv in even_theta_constants(point, 1e-12).values()])
-        (plain, *bounds), = list(_even_constants(point, 1e-12))
-        assert np.array_equal(plain, reference)  # the dict wraps the kernel's values
-        coarse, (full, truncation, rounding, radius) = list(_even_constants(point, 1e-12, 1e-6))
-        assert (truncation, radius) == (bounds[0], bounds[2])
-        assert rounding < 1e-9
-        assert np.abs(full - reference).max() <= rounding  # near then far: another order of summation
-        values, coarse_truncation, coarse_rounding, _ = coarse
-        assert 5e-7 < coarse_truncation < 1e-6
-        assert np.abs(values - full).max() <= coarse_truncation + coarse_rounding
+    def test_genus_one_squares_at_i(self):
+        # theta_00(i)^2 = sqrt(2) theta_10(i)^2 = sqrt(2) theta_01(i)^2 = pi^{1/2} / Gamma(3/4)^2
+        squares, bounds = _even_squares(validate_siegel([[1j]]), 1e-14)
+        exact = THETA00_AT_I**2 * np.array([1, 2**-0.5, 2**-0.5])
+        assert (np.abs(squares - exact) <= bounds + 1e-15).all()
+        assert bounds.max() < 1e-13
 
 
 class TestBlockDiag:
@@ -575,6 +525,16 @@ class TestPointUtilities:
         assert np.allclose(p.tau, q.tau, atol=0, rtol=0)
         with pytest.raises(ValueError, match="matrix"):
             point_from_json({"genus": 2, "tau": [[[0, 1]]]})
+        assert point_from_json({"genus": 1.0, "tau": [[[0, 1]]]}).genus == 1
+
+    def test_repr_shows_genus_and_lambda_min(self):
+        assert repr(validate_siegel(2j * np.eye(3))) == "SiegelPoint(genus=3, lambda_min=2)"
+
+    @pytest.mark.parametrize("genus", [1.9, 4.9, "1", True, math.nan, math.inf, None])
+    def test_json_genus_must_be_an_integer(self, genus):
+        # int() would have read 1.9 as genus 1 and "1" as 1
+        with pytest.raises(ValueError, match=f"genus must be an integer, got {genus!r}"):
+            point_from_json({"genus": genus, "tau": [[[0, 1]]]})
 
     def test_sampler_floors(self):
         for g in (1, 2, 4):
