@@ -513,6 +513,21 @@ class TestSelectionRule:
         monkeypatch.setattr(importlib.import_module("thetastrata.classify"), "_MIX", np.uint64(0))
         self._check(sets)
 
+    def test_outcomes_pinned(self, block_13, block_22, block_112):
+        # _reference_split builds its witness with detect_split's own
+        # construction, so these bytes pin the witnesses apart from it: the
+        # selection inputs and the vanishing sets of the seed-1 strata and
+        # split22 plan points, each at k = 1, 2 and 3
+        sets = _selection_inputs(block_13, block_22, block_112)
+        sets += [classify(p).vanishing for w in ("strata", "split22") for p in _plan_points(w, 1)]
+        outcomes = []
+        for chars in sets:
+            for k in (1, 2, 3):
+                res = detect_split(chars, k)
+                outcomes.append([res.found, res.witness.to_strings() if res.found else None, res.nodes])
+        digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
+        assert digest == "40a094953b7e79188904171d330e2eb0171cc136c3d49a0f726b102e8a2e6bc5"
+
 
 class TestDerivedCounts:
     def test_enumerated_signature_sizes(self):
