@@ -54,17 +54,16 @@ from .chars import (
     Characteristic,
     CharTuple,
     all_characteristics,
-    code_bits,
     code_parity,
     even_count,
-    pairing,
+    n_k,
     parity,
     product_split_tuple,
     swap,
 )
 from .errors import CapExceededError
 from .forms import _forms
-from .symplectic import SymplecticModTwo, _act_codes, act_on_tuple
+from .symplectic import SymplecticModTwo, _act_codes, _places, act_on_tuple
 from .theta import SiegelPoint, _doubled, _drift_bound, _even_squares, siegel_reduction, truncation_radius
 
 __all__ = [
@@ -168,32 +167,18 @@ class SplitWitness:
         }
 
 
-def _split_members(chars, k: int) -> list[Characteristic]:
-    """The distinct entries of `chars`, in order, after checking that they
-    are even characteristics of one genus g with 1 <= k < g."""
-    members = list(dict.fromkeys(chars))
-    if not members:
-        return members
-    g = members[0].genus
-    if not 1 <= k < g:
-        raise ValueError(f"k must satisfy 1 <= k < genus, got k={k}")
-    for m in members:
-        if m.genus != g:
-            raise ValueError("mixed genera in vanishing set")
-        if parity(m) != 0:
-            raise ValueError(f"odd characteristic {m} in vanishing set")
-    return members
-
-
 class _PlaneTable(NamedTuple):
     """The non-degenerate planes P = span(e, f), <e, f> = 1, of F2^2g, one
-    row each, with I(P) as a mask over the even characteristics: bit i, for
-    all_characteristics(g, "even")[i], is bit i % 64 of uint64 word i // 64."""
+    column each, with I(P) over the even characteristics two ways: as bits,
+    bit i of I(P), for all_characteristics(g, "even")[i], being bit i % 64
+    of masks[i // 64, P], and as 0/1 entries incidence[i, P].  Both arrays
+    are word-major and C-contiguous, so a pass over one word of every
+    plane, or over one characteristic, reads one row."""
 
-    bit: dict[int, int]  # even code -> its mask bit
     e: np.ndarray
     f: np.ndarray
-    masks: np.ndarray  # (planes, words) uint64: I(P) = Q[e] & Q[f]
+    masks: np.ndarray  # (words, planes) uint64: I(P) = Q[e] & Q[f]
+    incidence: np.ndarray  # (evens, planes) uint8: 1 where the even lies in I(P)
     pairs: np.ndarray  # pairs[a, b] = <a, b>, over all codes
 
 
@@ -204,114 +189,166 @@ def _plane_table(g: int) -> _PlaneTable:
     swapped = np.array([swap(c, g) for c in range(n)])
     odd_weight = np.array([c.bit_count() & 1 for c in range(n)], dtype=bool)
     pairs = odd_weight[codes[:, None] & swapped[None, :]]
-    evens = [m.code for m in all_characteristics(g, "even")]
+    evens = _even_index(g)[0]
     # q_m(v) = e(m + v) + e(m) = e(v) + <m, v> for even m; row v of
-    # q_table is the mask Q[v] of the m with q_m(v) = 1
+    # q_bits is Q[v], the m with q_m(v) = 1
     e_v = np.array([code_parity(c, g) for c in range(n)], dtype=bool)
-    q_bits = np.pad(e_v[:, None] ^ pairs[:, evens], ((0, 0), (0, -len(evens) % 64)))
-    q_table = np.ascontiguousarray(np.packbits(q_bits, axis=1, bitorder="little")).view("<u8")
+    q_bits = e_v[:, None] ^ pairs[:, evens]
+    q_table = np.packbits(np.pad(q_bits, ((0, 0), (0, -len(evens) % 64))), axis=1, bitorder="little")
+    q_table = np.ascontiguousarray(q_table).view("<u8")
     # each plane once: e is the smallest of its three nonzero vectors and
     # f the middle one
     a, b = codes[:, None], codes[None, :]
     e, f = np.nonzero(pairs & (a < b) & ((a ^ b) > b))
-    return _PlaneTable({c: i for i, c in enumerate(evens)}, e, f, q_table[e] & q_table[f], pairs)
+    q_rows = np.ascontiguousarray(q_bits.T)
+    incidence = np.take(q_rows, e, axis=1)
+    incidence &= np.take(q_rows, f, axis=1)
+    return _PlaneTable(e, f, np.ascontiguousarray((q_table[e] & q_table[f]).T), incidence.view(np.uint8), pairs)
 
 
 def _symplectic_basis(g: int, pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
     """Extend mutually orthogonal pairs (e, f), <e, f> = 1, to a symplectic
-    basis of F2^2g by symplectic Gram-Schmidt on the unit codes: each
-    round projects the units onto the orthogonal complement of the pairs
-    so far, takes the first nonzero projection as e and the first
-    projection with <e, f> = 1 as f."""
-    pairs = list(pairs)
-    while len(pairs) < g:
-        rest = []
-        for u in (1 << i for i in range(2 * g)):
-            for e, f in pairs:
-                u ^= (e if pairing(u, f, g) else 0) ^ (f if pairing(u, e, g) else 0)
-            rest.append(u)
+    basis of F2^2g by symplectic Gram-Schmidt on the unit codes: the units
+    are projected onto the orthogonal complement of each pair in turn, and
+    each round takes the first nonzero projection as e and the first
+    projection with <e, f> = 1 as f.  A pairing <u, v> is the parity of
+    u & swap(v), with swap(v) taken once per pair."""
+    pairs, done = list(pairs), 0
+    rest = [1 << i for i in range(2 * g)]
+    while True:
+        for e, f in pairs[done:]:
+            se, sf = swap(e, g), swap(f, g)
+            rest = [u ^ (e if (u & sf).bit_count() & 1 else 0) ^ (f if (u & se).bit_count() & 1 else 0)
+                    for u in rest]
+        done = len(pairs)
+        if done >= g:
+            return pairs
         e = next(v for v in rest if v)
-        pairs.append((e, next(v for v in rest if pairing(e, v, g))))
-    return pairs
+        se = swap(e, g)
+        pairs.append((e, next(v for v in rest if (v & se).bit_count() & 1)))
 
 
 def _basis_element(g: int, pairs: list[tuple[int, int]]) -> SymplecticModTwo:
     """The gamma whose linear part [[D, C], [B, A]] sends e_j = [unit_j|0]
-    to pairs[j][0] and f_j = [0|unit_j] to pairs[j][1]: column j of it is
-    the bits of pairs[j][0], column g + j those of pairs[j][1]."""
-    columns = [code_bits(e, g) for e, _ in pairs] + [code_bits(f, g) for _, f in pairs]
-    linear = np.array(columns, dtype=np.int64).T
-    return SymplecticModTwo._of(np.roll(linear, g, axis=(0, 1)))
+    to pairs[j][0] and f_j = [0|unit_j] to pairs[j][1].  Its matrix acts
+    on the code bits at symplectic._places(g), which put f_j in column j
+    and e_j in column g + j, so column c holds the bits of the c-th of
+    f_0..f_{g-1}, e_0..e_{g-1} at those places."""
+    images = np.array([f for _, f in pairs] + [e for e, _ in pairs])
+    return SymplecticModTwo._of(images >> _places(g)[:, None] & 1)
+
+
+def _plane_hits(members) -> tuple[int, np.ndarray, np.ndarray]:
+    """(g, hits, out) for a nonempty sequence of even characteristics of
+    the genus g of its first, after checking that they are: with V the set
+    of them, hits[P] = |I(P) & V| for every plane of _plane_table(g), the
+    sum of V's rows of the incidence table, and out the evens not in V as
+    a (words, 1) column in the mask layout (its padding bits set, which no
+    mask has).  Parity is checked through _even_index, whose index of an
+    odd code is -1."""
+    g = members[0].genus
+    if any(m.genus != g for m in members):
+        raise ValueError("mixed genera in vanishing set")
+    rows = _even_index(g)[1][np.array([m.code for m in members])]
+    if (rows < 0).any():
+        raise ValueError(f"odd characteristic {members[int(np.argmax(rows < 0))]} in vanishing set")
+    table = _plane_table(g)
+    inside = np.zeros(64 * len(table.masks), dtype=bool)
+    inside[rows] = True
+    # no hit passes |I(P)| = |I_1|
+    hits = table.incidence[inside[:len(table.incidence)]].sum(axis=0, dtype=np.min_scalar_type(n_k(g, 1)))
+    return g, hits, np.packbits(~inside, bitorder="little").view("<u8")[:, None]
 
 
 def detect_split(chars, k: int) -> SplitWitness:
     """Decide whether the even characteristics `chars` contain an Sp image
     of product_split_tuple(g, k), by the Arf invariants of planes.
 
-    keys = masks & out, with out the even characteristics not in `chars`
-    in _PlaneTable's word layout, holds I(P) & out for every plane.  With
-    k' = min(k, g - k): for k' = 1 a split exists iff some row is zero,
-    and the first such plane is taken.  For k' = 2 it exists iff two
-    orthogonal planes have equal rows, and then I(W) = I(P1) ^ I(P2); of
-    the groups of equal rows, taken by smallest plane index, the first
-    with an orthogonal pair gives its least pair (i, j).  Sorting the row
-    folds (by _MIX) with the plane index in the low bits makes each group
-    a run in index order (an exact lexsort does if equal folds hide
-    unequal rows); offset d pairs each run position with the one d
+    With V the set of `chars` and k' = min(k, g - k), every plane P has
+    the key I(P) - V.  For k' = 1 a split exists iff some key is empty,
+    that is |I(P) & V| = |I(P)| = |I_1|, and the first such plane is
+    taken.  For k' = 2 it exists iff two orthogonal planes have equal
+    keys, and then I(W) = I(P1) ^ I(P2); of the groups of equal keys, taken
+    by smallest plane index, the first with an orthogonal pair gives its
+    least pair (i, j).
+
+    Only planes with |I(P) & V| >= |I_2| / 2 can be in such a pair.  For
+    orthogonal P1, P2, I(P1 + P2) = I(P1) ^ I(P2) has |I_2| elements and
+    each I(P) has |I_1|, so |I(P1) & I(P2)| = (2 |I_1| - |I_2|) / 2 =
+    |I_1| - |I_2| / 2, which is 10 at genus 4.  If their keys are equal,
+    an element of I(P1) - I(P2) outside V would lie in the key of P1 but
+    not in that of P2, so I(P1) - I(P2) lies in V and the key of P1 lies
+    in I(P1) & I(P2): |I(P1) - V| <= |I_1| - |I_2| / 2, that is
+    |I(P1) & V| >= |I_2| / 2.  Equal keys have equal sizes, so the bound
+    keeps or drops whole groups and leaves the order of the groups, hence
+    the chosen pair, as it is.  |I(P) & V| is the sum of V's rows of
+    _PlaneTable.incidence, and the keys, masks & out over the evens out of
+    V, are taken only for the candidates that pass: 1, 40, 40 and 112 of
+    the 5440 planes on 1+3, 2+2, 1+1+2 and 1+1+1+1 products.  Sorting
+    the key folds (by _MIX) with the candidate index in the low bits makes
+    each group a run in index order (an exact lexsort does if equal folds
+    hide unequal keys); offset d pairs each run position with the one d
     further on, and the least rank (group, i, j) so far prunes the rest.
+    Candidate indices increase with plane indices, so the ranks keep
+    their order.
 
     The witness is gamma . I_k for the gamma that sends the standard basis
     to a symplectic basis extending the found planes; they go first, or
     last when k' != k, since I(W) = I(W-perp).  `nodes` counts the planes
-    examined: the first zero row's index + 1 for k' = 1, every plane
+    examined: the first empty key's index + 1 for k' = 1, every plane
     otherwise.  k' > 2 raises ValueError.
     """
-    members = _split_members(chars, k)
+    members = list(chars)
     if not members:
         return SplitWitness(False, k, None, 0)
     g = members[0].genus
-    half = min(k, g - k)
-    if half > 2:
+    if not 1 <= k < g:
+        raise ValueError(f"k must satisfy 1 <= k < genus, got k={k}")
+    if min(k, g - k) > 2:
         raise ValueError(f"detect_split decides k + (g-k) splits with min(k, g-k) <= 2, got k={k}, g={g}")
+    return _split(*_plane_hits(members), k)
+
+
+def _split(g: int, hits: np.ndarray, out: np.ndarray, k: int) -> SplitWitness:
+    """detect_split on the _plane_hits of its characteristics."""
     table = _plane_table(g)
-    out = (1 << len(table.bit)) - 1
-    for m in members:
-        out ^= 1 << table.bit[m.code]
-    keys = table.masks & np.frombuffer(out.to_bytes(8 * table.masks.shape[1], "little"), dtype="<u8")
-    n = nodes = len(keys)
+    half = min(k, g - k)
+    n = nodes = len(hits)
     if half == 1:
-        inside = np.flatnonzero(reduce(np.bitwise_or, keys.T) == 0)
+        inside = np.flatnonzero(hits == n_k(g, 1))
         planes = [int(inside[0])] if inside.size else None
         nodes = planes[0] + 1 if planes else n
     else:
-        # one sort of row folds is about 3x faster than np.lexsort of the rows
-        low = np.uint64((1 << n.bit_length()) - 1)
-        fold = reduce(lambda h, word: (h + word) * _MIX, keys.T, np.uint64(0))
-        packed = np.sort(fold & ~low | np.arange(n, dtype=np.uint64))
+        cand = np.flatnonzero(hits >= n_k(g, 2) // 2)
+        keys = table.masks[:, cand] & out
+        c = len(cand)
+        # one sort of key folds is about 3x faster than np.lexsort of the keys
+        low = np.uint64((1 << c.bit_length()) - 1)
+        fold = reduce(lambda h, word: (h + word) * _MIX, keys, np.uint64(0))
+        packed = np.sort(fold & ~low | np.arange(c, dtype=np.uint64))
         ids, run = (packed & low).astype(np.int64), packed | low
         pos = np.flatnonzero(run[1:] == run[:-1])
-        if not (keys[ids[pos]] == keys[ids[pos + 1]]).all():
-            ids = np.lexsort(keys.T)
-            run = np.cumsum(np.r_[True, (keys[ids[1:]] != keys[ids[:-1]]).any(axis=1)])
+        if not (keys[:, ids[pos]] == keys[:, ids[pos + 1]]).all():
+            ids = np.lexsort(keys)
+            run = np.cumsum(np.r_[True, (keys[:, ids[1:]] != keys[:, ids[:-1]]).any(axis=0)])
             pos = np.flatnonzero(run[1:] == run[:-1])
-        lead = ids[np.searchsorted(run, run[pos])] * n + ids[pos]
+        lead = ids[np.searchsorted(run, run[pos])] * c + ids[pos]
         stop = np.searchsorted(run, run[pos], side="right")
-        e, f, meets = table.e, table.f, table.pairs
-        best, d = n**3, 1
+        e, f, meets = table.e[cand], table.f[cand], table.pairs
+        best, d = c**3, 1
         while pos.size:
             i, j = ids[pos], ids[pos + d]
             apart = ~(meets[e[i], e[j]] | meets[e[i], f[j]] | meets[f[i], e[j]] | meets[f[i], f[j]])
-            best, d = min([best, *(lead[apart] * n + j[apart]).tolist()]), d + 1
-            keep = (pos + d < stop) & (lead * n + ids[np.minimum(pos + d, n - 1)] < best)
+            best, d = min([best, *(lead[apart] * c + j[apart]).tolist()]), d + 1
+            keep = (pos + d < stop) & (lead * c + ids[np.minimum(pos + d, c - 1)] < best)
             pos, lead, stop = pos[keep], lead[keep], stop[keep]
-        planes = None if best == n**3 else [best // n % n, best % n]
+        planes = None if best == c**3 else [int(cand[best // c % c]), int(cand[best % c])]
     if planes is None:
         return SplitWitness(False, k, None, nodes)
     pairs = _symplectic_basis(g, [(int(table.e[i]), int(table.f[i])) for i in planes])
     if half != k:
         pairs = pairs[half:] + pairs[:half]
-    gamma = _basis_element(g, pairs)
-    return SplitWitness(True, k, act_on_tuple(gamma, product_split_tuple(g, k)), nodes)
+    return SplitWitness(True, k, act_on_tuple(_basis_element(g, pairs), product_split_tuple(g, k)), nodes)
 
 
 @dataclass(frozen=True)
@@ -375,8 +412,8 @@ def _decide(ft_survives: bool, members, notes: list[str]) -> tuple[str, tuple[Sp
     if len(members) == 1:
         notes.append("exactly one vanishing constant: F_1 reduces to one nonzero exclusion product")
         return "X2", ()
-    w1 = detect_split(members, 1)
-    w2 = detect_split(members, 2)
+    hits = _plane_hits(members)
+    w1, w2 = _split(*hits, 1), _split(*hits, 2)
     rule = (f"{'' if w1.found else 'no '}k=1 split, {'' if w2.found else 'no '}k=2 split, "
             f"{len(members)} vanishing")
     if not w1.found and not w2.found:

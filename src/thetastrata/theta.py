@@ -189,8 +189,8 @@ def truncation_radius(point: SiegelPoint, target: float, z_im_norm: float = 0.0)
     first term, at least twice that, above target, so it is skipped
     without summing its tail (one radius lower, for rounding).
     """
-    if not target > 0:
-        raise ValueError(f"target must be positive, got {target}")
+    if not 0 < target < math.inf:
+        raise ValueError(f"target must be positive and finite, got {target}")
     lam = point.lambda_min
     radius = max(1, math.ceil(z_im_norm / lam + 0.5 + 1e-9))
     if not z_im_norm and target < 1:
@@ -249,6 +249,9 @@ def theta_functions(chars, zs, points, target: float) -> list[ThetaValue]:
     if any(z.shape != (g,) for z in zv):
         raise ValueError(f"z must have length {g}")
     zv = np.array(zv)
+    finite = np.isfinite(zv).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"z must be finite, got {zv[np.argmin(finite)].tolist()}")
     z_im = np.linalg.norm(zv.imag, axis=1)
     if z_im.max() > IM_Z_CAP:
         raise ValueError(f"|Im z| = {z_im.max():.3g} exceeds cap {IM_Z_CAP}")

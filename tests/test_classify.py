@@ -64,8 +64,10 @@ from thetastrata.theta import (
 
 from oracles import (
     affine_image,
+    arf_planes,
     block_stratum_label,
     direct_theta_constant,
+    even_characteristics,
     is_symplectic,
     lll_reduced,
     odd_on_some_block_count,
@@ -75,9 +77,10 @@ from oracles import (
 )
 
 
-def _row_int(row):
-    """A row of _PlaneTable.masks as one int: bit 64 w + b is bit b of word w."""
-    return int.from_bytes(np.asarray(row, dtype="<u8").tobytes(), "little")
+def _plane_int(words):
+    """A plane's column of _PlaneTable.masks as one int: bit 64 w + b is
+    bit b of word w."""
+    return int.from_bytes(np.asarray(words, dtype="<u8").tobytes(), "little")
 
 
 @pytest.fixture(scope="module")
@@ -236,12 +239,12 @@ class TestDetectSplit:
 
     def test_nodes_count_planes(self, block_22):
         members = vanishing_set(block_22).members
-        planes = len(_plane_table(4).masks)
+        planes = _plane_table(4).masks.shape[1]
         assert detect_split(members, 1).nodes == planes
         assert detect_split(members, 2).nodes == planes
         # k' = 1 stops at the first plane P with I(P) inside the set
         i1 = product_split_tuple(4, 1)
-        first = next(i for i, mask in enumerate(map(_row_int, _plane_table(4).masks))
+        first = next(i for i, mask in enumerate(map(_plane_int, _plane_table(4).masks.T))
                      if {m for j, m in enumerate(all_characteristics(4, "even")) if mask >> j & 1} <= set(i1))
         assert detect_split(list(i1), 1).nodes == first + 1
 
@@ -358,7 +361,7 @@ class TestFindSplit:
         assert _arf_set(g, k) == expected
         # the tables give the same set as the XOR over the planes span(e_i, f_i)
         table = _plane_table(g)
-        by_plane = {(int(e), int(f)): _row_int(mask) for e, f, mask in zip(table.e, table.f, table.masks)}
+        by_plane = {(int(e), int(f)): _plane_int(mask) for e, f, mask in zip(table.e, table.f, table.masks.T)}
         mask = 0
         for i in range(k):
             e, f = _standard_plane_codes(g, i)
@@ -369,7 +372,7 @@ class TestFindSplit:
         assert res.found and set(res.witness) == expected
 
     def test_plane_count_genus_four(self):
-        masks = [_row_int(row) for row in _plane_table(4).masks]
+        masks = [_plane_int(words) for words in _plane_table(4).masks.T]
         assert len(masks) == len(set(masks)) == 5440
 
     def test_orbit_sizes(self):
@@ -512,6 +515,24 @@ class TestSelectionRule:
         sets = _selection_inputs(block_13, block_22, block_112)
         monkeypatch.setattr(importlib.import_module("thetastrata.classify"), "_MIX", np.uint64(0))
         self._check(sets)
+
+    def test_candidate_bound(self, block_13, block_22, block_112):
+        # detect_split keeps for k' = 2 only the planes whose key I(P) - V
+        # has at most |I_1| - |I_2| / 2 elements: on tests/oracles.py's
+        # planes, every orthogonal pair meets in exactly that many evens,
+        # and every orthogonal pair with equal keys has keys that small
+        bound = len(product_split_tuple(4, 1)) - len(product_split_tuple(4, 2)) // 2
+        planes, evens = arf_planes(4), even_characteristics(4)
+        pairs = 0
+        for chars in _selection_inputs(block_13, block_22, block_112):
+            held = {(m.eps, m.delta) for m in chars}
+            absent = sum(1 << i for i, m in enumerate(evens) if m not in held)
+            for _, i, j in orthogonal_equal_key_pairs(4, held):
+                (_, _, arf_i), (_, _, arf_j) = planes[i], planes[j]
+                assert (arf_i & arf_j).bit_count() == bound == 10
+                assert (arf_i & absent).bit_count() <= bound
+                pairs += 1
+        assert pairs > 100
 
     def test_outcomes_pinned(self, block_13, block_22, block_112):
         # _reference_split builds its witness with detect_split's own

@@ -235,6 +235,8 @@ def test_verify_bad_genus_is_domain_error(capsys, genus):
     (["verify", "schottky-degeneration", "--genus", "5", "--seed", "1"], "schottky degeneration check"),
     (["eval", "theta", "--char", "0000|0000", "--target", "nan"], "target must be positive"),
     (["eval", "--form", "FT", "--target", "nan"], "target must be positive"),
+    (["eval", "theta", "--char", "0000|0000", "--target", "inf"], "target must be positive and finite"),
+    (["eval", "--form", "FT", "--target", "inf"], "target must be positive and finite"),
 ])
 def test_outside_input_is_domain_error(capsys, tau4_file, argv, message):
     if argv[0] == "eval":

@@ -128,7 +128,7 @@ class TestTruncation:
         with pytest.raises(CapExceededError, match="still growing"):
             truncation_tail_bound(4, 1e-10, 1)
 
-    @pytest.mark.parametrize("target", [math.nan, 0.0, -1e-10])
+    @pytest.mark.parametrize("target", [math.nan, 0.0, -1e-10, math.inf])
     def test_target_must_be_positive(self, target):
         with pytest.raises(ValueError, match="target must be positive"):
             truncation_radius(validate_siegel(1j * np.eye(2)), target)
@@ -239,6 +239,14 @@ class TestThetaValues:
             theta_functions([m, m], [np.zeros(2)], [p, p], 1e-10)
         with pytest.raises(ValueError, match="z must have length 2"):
             theta_functions([m], [np.zeros(3)], [p], 1e-10)
+
+    @pytest.mark.parametrize("z", [[math.nan, 0, 0, 0], [0, complex(0, math.nan), 0, 0], [0, 0, math.inf, 0]])
+    def test_non_finite_z_is_refused(self, z):
+        # a NaN in Re z used to give a NaN value with a small tail bound,
+        # and a NaN in Im z "cannot convert float NaN to integer"
+        p = validate_siegel(1j * np.eye(4))
+        with pytest.raises(ValueError, match=r"z must be finite, got \["):
+            theta_function(Characteristic.from_string("0000|0000"), z, p, 1e-10)
 
     def test_genus_mismatch_and_im_z_cap(self):
         p = validate_siegel([[1j]])
