@@ -200,32 +200,31 @@ def _plane_table(g: int) -> _PlaneTable:
     # f the middle one
     a, b = codes[:, None], codes[None, :]
     e, f = np.nonzero(pairs & (a < b) & ((a ^ b) > b))
-    q_rows = np.ascontiguousarray(q_bits.T)
-    incidence = np.take(q_rows, e, axis=1)
-    incidence &= np.take(q_rows, f, axis=1)
-    return _PlaneTable(e, f, np.ascontiguousarray((q_table[e] & q_table[f]).T), incidence.view(np.uint8), pairs)
+    masks = np.ascontiguousarray((q_table[e] & q_table[f]).T)
+    # row 8 w + j of octets is byte j of word w of every mask, so its bit
+    # k is even 64 w + 8 j + k
+    octets = masks.view(np.uint8).reshape(len(masks), -1, 8).transpose(0, 2, 1).reshape(-1, len(e))
+    incidence = np.unpackbits(octets, axis=0, count=len(evens), bitorder="little")
+    return _PlaneTable(e, f, masks, incidence, pairs)
 
 
 def _symplectic_basis(g: int, pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
     """Extend mutually orthogonal pairs (e, f), <e, f> = 1, to a symplectic
     basis of F2^2g by symplectic Gram-Schmidt on the unit codes: the units
     are projected onto the orthogonal complement of each pair in turn, and
-    each round takes the first nonzero projection as e and the first
-    projection with <e, f> = 1 as f.  A pairing <u, v> is the parity of
-    u & swap(v), with swap(v) taken once per pair."""
-    pairs, done = list(pairs), 0
-    rest = [1 << i for i in range(2 * g)]
-    while True:
-        for e, f in pairs[done:]:
-            se, sf = swap(e, g), swap(f, g)
-            rest = [u ^ (e if (u & sf).bit_count() & 1 else 0) ^ (f if (u & se).bit_count() & 1 else 0)
-                    for u in rest]
-        done = len(pairs)
-        if done >= g:
-            return pairs
-        e = next(v for v in rest if v)
-        se = swap(e, g)
-        pairs.append((e, next(v for v in rest if (v & se).bit_count() & 1)))
+    past the given pairs the next takes the first nonzero projection as e
+    and the first projection with <e, f> = 1 as f.  A pairing <u, v> is
+    the parity of u & swap(v), with swap(v) taken once per pair."""
+    pairs, rest = list(pairs), [1 << i for i in range(2 * g)]
+    for done in range(g):
+        if done == len(pairs):
+            e = next(v for v in rest if v)
+            se = swap(e, g)
+            pairs.append((e, next(v for v in rest if (v & se).bit_count() & 1)))
+        e, f = pairs[done]
+        se, sf = swap(e, g), swap(f, g)
+        rest = [u ^ (e if (u & sf).bit_count() & 1 else 0) ^ (f if (u & se).bit_count() & 1 else 0) for u in rest]
+    return pairs
 
 
 def _basis_element(g: int, pairs: list[tuple[int, int]]) -> SymplecticModTwo:
@@ -412,8 +411,8 @@ def _decide(ft_survives: bool, members, notes: list[str]) -> tuple[str, tuple[Sp
     if len(members) == 1:
         notes.append("exactly one vanishing constant: F_1 reduces to one nonzero exclusion product")
         return "X2", ()
-    hits = _plane_hits(members)
-    w1, w2 = _split(*hits, 1), _split(*hits, 2)
+    g, hits, out = _plane_hits(members)
+    w1, w2 = _split(g, hits, out, 1), _split(g, hits, out, 2)
     rule = (f"{'' if w1.found else 'no '}k=1 split, {'' if w2.found else 'no '}k=2 split, "
             f"{len(members)} vanishing")
     if not w1.found and not w2.found:

@@ -249,9 +249,8 @@ def theta_functions(chars, zs, points, target: float) -> list[ThetaValue]:
     if any(z.shape != (g,) for z in zv):
         raise ValueError(f"z must have length {g}")
     zv = np.array(zv)
-    finite = np.isfinite(zv).all(axis=1)
-    if not finite.all():
-        raise ValueError(f"z must be finite, got {zv[np.argmin(finite)].tolist()}")
+    if not np.isfinite(zv).all():
+        raise ValueError(f"z must be finite, got {zv[~np.isfinite(zv).all(axis=1)][0].tolist()}")
     z_im = np.linalg.norm(zv.imag, axis=1)
     if z_im.max() > IM_Z_CAP:
         raise ValueError(f"|Im z| = {z_im.max():.3g} exceeds cap {IM_Z_CAP}")
