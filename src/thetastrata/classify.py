@@ -189,13 +189,12 @@ def _plane_table(g: int) -> _PlaneTable:
     swapped = np.array([swap(c, g) for c in range(n)])
     odd_weight = np.array([c.bit_count() & 1 for c in range(n)], dtype=bool)
     pairs = odd_weight[codes[:, None] & swapped[None, :]]
-    evens = _even_index(g)[0]
+    evens = [m.code for m in all_characteristics(g, "even")]
     # q_m(v) = e(m + v) + e(m) = e(v) + <m, v> for even m; row v of
-    # q_bits is Q[v], the m with q_m(v) = 1
+    # q_table is the mask Q[v] of the m with q_m(v) = 1
     e_v = np.array([code_parity(c, g) for c in range(n)], dtype=bool)
-    q_bits = e_v[:, None] ^ pairs[:, evens]
-    q_table = np.packbits(np.pad(q_bits, ((0, 0), (0, -len(evens) % 64))), axis=1, bitorder="little")
-    q_table = np.ascontiguousarray(q_table).view("<u8")
+    q_bits = np.pad(e_v[:, None] ^ pairs[:, evens], ((0, 0), (0, -len(evens) % 64)))
+    q_table = np.ascontiguousarray(np.packbits(q_bits, axis=1, bitorder="little")).view("<u8")
     # each plane once: e is the smallest of its three nonzero vectors and
     # f the middle one
     a, b = codes[:, None], codes[None, :]

@@ -242,8 +242,8 @@ class TestThetaValues:
 
     @pytest.mark.parametrize("z", [[math.nan, 0, 0, 0], [0, complex(0, math.nan), 0, 0], [0, 0, math.inf, 0]])
     def test_non_finite_z_is_refused(self, z):
-        # a NaN in Re z used to give a NaN value with a small tail bound,
-        # and a NaN in Im z "cannot convert float NaN to integer"
+        # unchecked, a NaN in Re z gives a NaN value under a small tail
+        # bound, and a NaN in Im z fails in the radius search
         p = validate_siegel(1j * np.eye(4))
         with pytest.raises(ValueError, match=r"z must be finite, got \["):
             theta_function(Characteristic.from_string("0000|0000"), z, p, 1e-10)
