@@ -38,9 +38,7 @@ __all__ = [
     "split",
     "swap",
     "code_parity",
-    "code_bits",
     "bits_code",
-    "pairing",
     "product_split_tuple",
     "n_k",
     "even_count",
@@ -115,13 +113,8 @@ def swap(code: int, g: int) -> int:
     return (delta << g) | eps
 
 
-def code_bits(code: int, g: int) -> tuple[int, ...]:
-    """The 2g bits eps_1, ..., eps_g, delta_1, ..., delta_g of a genus-g code."""
-    return _bits(code, 2 * g)
-
-
 def bits_code(bits) -> int:
-    """The code whose bits, eps_1 first, are `bits`; inverse to code_bits."""
+    """The code whose bits, eps_1 first, are `bits`."""
     return int("".join(map(str, bits)), 2)
 
 
@@ -129,12 +122,6 @@ def code_parity(code: int, g: int) -> int:
     """e(m) = eps . delta mod 2 of the genus-g characteristic with this code."""
     eps, delta = _halves(code, g)
     return (eps & delta).bit_count() & 1
-
-
-def pairing(a: int, b: int, g: int) -> int:
-    """Symplectic pairing <a, b> = eps_a . delta_b + eps_b . delta_a mod 2
-    of two genus-g codes."""
-    return (a & swap(b, g)).bit_count() & 1
 
 
 def parity(m: Characteristic) -> int:

@@ -22,10 +22,10 @@ two split outcomes and the size of the vanishing set, all invariant
 under Sp(8, Z), so a block-diagonal tau and its images are decided by
 the same rule.
 
-The same invariance lets classify sum the theta constants at whichever
-representative is cheapest.  Where the walk at tau is large it sums at
-the Siegel-reduced gamma o tau, whose ellipsoid holds fewer points, and
-reads the constant of m from slot gamma . m:
+The same invariance lets theta._even_moduli sum the constants at
+whichever representative is cheapest.  Where the walk at tau is large it
+sums at the Siegel-reduced gamma o tau, whose ellipsoid holds fewer
+points, and reads the constant of m from slot gamma . m:
 theta_{gamma.m}(gamma o tau)^8 = det(C tau + D)^4 theta_m(tau)^8, and the
 common factor cancels from every relative quantity the decision reads.
 
@@ -42,7 +42,6 @@ evens of genus 4 that are even on the genus-1 block: 31.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cache, reduce
 from math import prod
@@ -61,10 +60,9 @@ from .chars import (
     product_split_tuple,
     swap,
 )
-from .errors import CapExceededError
 from .forms import _forms
-from .symplectic import SymplecticModTwo, _act_codes, _places, act_on_tuple
-from .theta import SiegelPoint, _doubled, _drift_bound, _even_squares, siegel_reduction, truncation_radius
+from .symplectic import SymplecticModTwo, _even_index, _places, act_on_tuple
+from .theta import SiegelPoint, _even_moduli
 
 __all__ = [
     "VanishingSet",
@@ -82,12 +80,6 @@ MARGIN_FLOOR = 10.0
 # of the largest on generic_siegel_point(4, 1-10), below the default
 # threshold of 1e-6 (1e-12 would give 1.5e-6-1.6e-6)
 THETA_TARGET = 1e-14
-# classify sums at the Siegel-reduced representative only when the walk at
-# tau would visit more than this many lattice points: on the perfbench
-# plans (seeds 1-2) reducing cost a median 0.21 ms on the 75 points whose
-# walk held at most 5,100 points and saved a median 0.19 ms, up to 0.58 ms,
-# on the 11 from 5,550 up (radius 7-8 images)
-REDUCE_WALK = 5_300
 _MIX = np.uint64(0x9E3779B97F4A7C15)  # odd; folds a row of uint64 words into one
 
 
@@ -99,7 +91,8 @@ class VanishingSet:
     one, each floored at its magnitude's error bound over scale): a
     vanishing magnitude below its bound is summation noise, which moves
     with the order of summation; a margin under 10 flags an ill-separated
-    spectrum.
+    spectrum.  scale and margin are those of the representative that
+    theta._even_moduli summed, as for classify.
     """
 
     members: tuple[Characteristic, ...]
@@ -117,14 +110,13 @@ def _check_threshold(rel_threshold: float) -> None:
 
 
 def vanishing_set(point: SiegelPoint, rel_threshold: float = 1e-6) -> VanishingSet:
-    """Classify each even theta constant, its square summed by
-    theta._even_squares for THETA_TARGET, as vanishing or surviving at the
-    relative threshold.  A threshold that is not a finite number in (0, 1],
-    or that lies at or below the resolution of the constants at the point,
-    raises ValueError."""
+    """Classify each even theta constant, its modulus taken from
+    theta._even_moduli for THETA_TARGET as classify takes it, as vanishing
+    or surviving at the relative threshold.  A threshold that is not a
+    finite number in (0, 1], or that lies at or below the resolution of
+    the constants at the point, raises ValueError."""
     _check_threshold(rel_threshold)
-    squares, bounds = _even_squares(point, THETA_TARGET)
-    return _vanishing(all_characteristics(point.genus, "even"), np.sqrt(squares), np.sqrt(bounds), rel_threshold)
+    return _vanishing(all_characteristics(point.genus, "even"), *_even_moduli(point, THETA_TARGET), rel_threshold)
 
 
 def _vanishing(chars, values: np.ndarray, error: np.ndarray, rel_threshold: float) -> VanishingSet:
@@ -440,28 +432,17 @@ def classify(
     the vanishing set, all Sp(8,Z)-invariant, so every representative of
     a point gets the same label by the same rule.
 
-    The constants come from one walk (theta._even_squares), which gives
+    The constants come from one walk (theta._even_moduli), which gives
     their squares with a bound each.  The squares are all the chain reads:
     |theta| and theta^8, hence the three forms' relative magnitudes, are
-    the same for either square root.  The walk runs at
-    _representative(point): the Siegel-reduced gamma o tau when the walk
-    at tau would be large, else tau.  Margin and forms are then the
-    representative's, the vanishing set tau's; the error of each modulus
-    adds the bound drift puts on the constants of gamma o tau.
+    the same for either square root.  The walk runs at the Siegel-reduced
+    gamma o tau when the walk at tau would be large, else at tau.  Margin
+    and forms are then the representative's, the vanishing set tau's.
     """
     if point.genus != 4:
         raise ValueError(f"classify requires genus 4, got {point.genus}")
     _check_threshold(rel_threshold)
-    gamma, reduced, drift = _representative(point)
-    squares, bounds = _even_squares(reduced, THETA_TARGET)
-    error = np.sqrt(bounds) + _drift_bound(reduced, drift)
-    if reduced is not point:
-        # theta_{gamma.m}(gamma o tau)^8 = det(C tau + D)^4 theta_m(tau)^8:
-        # slot gamma.m holds the constant of m, up to a factor common to
-        # all of them that no relative quantity below sees
-        slots = _even_slots(gamma)
-        squares, error = squares[slots], error[slots]
-    values = np.sqrt(squares)
+    values, error = _even_moduli(point, THETA_TARGET)
     vrep = _vanishing(all_characteristics(4, "even"), values, error, rel_threshold)
     mags = {fid: fv.relative_magnitude for fid, fv in _forms(values, point.genus).items()}
     warnings = ()
@@ -471,46 +452,6 @@ def classify(
     label, splits = _decide(mags["FT"] >= rel_threshold, vrep.members, notes)
     return StratumReport(label, mags, vrep.members, splits, rel_threshold, THETA_TARGET, vrep.margin,
                          warnings, tuple(notes))
-
-
-def _representative(point: SiegelPoint):
-    """(gamma, point, drift) for the point classify sums at: the
-    siegel_reduction of tau when the walk at tau is large (_walk above
-    REDUCE_WALK), else tau itself, with gamma None and drift 0."""
-    if _walk(point) <= REDUCE_WALK:
-        return None, point, 0.0
-    return siegel_reduction(point)
-
-
-def _walk(point: SiegelPoint) -> float:
-    """The lattice points the walk of theta._even_squares at THETA_TARGET
-    visits at tau, estimated by half the volume of its ellipsoid
-    m^T Im(tau/2) m <= C at genus 4, (pi^2 / 2) C^2 4 / sqrt(det Im tau) / 2,
-    with C = ln(2 (2R+1)^4 / THETA_TARGET) / pi for the box radius R at
-    2 tau (the walk's C less its tail correction); inf when R passes the
-    cap."""
-    try:
-        radius = truncation_radius(_doubled(point), THETA_TARGET)
-    except CapExceededError:
-        return math.inf
-    cut = math.log(2 * (2 * radius + 1) ** 4 / THETA_TARGET) / math.pi
-    return math.pi**2 * cut**2 / math.sqrt(np.linalg.det(point.tau.imag))
-
-
-def _even_slots(gamma) -> np.ndarray:
-    """For each even m, in all_characteristics(g, "even") order, the index
-    of gamma . m in that order."""
-    codes, index = _even_index(gamma.genus)
-    return index[_act_codes(gamma.mod_two(), codes)]
-
-
-@cache
-def _even_index(g: int) -> tuple[np.ndarray, np.ndarray]:
-    """The even codes in order, and each even code's position among them."""
-    codes = np.array([m.code for m in all_characteristics(g, "even")])
-    index = np.full(1 << (2 * g), -1)
-    index[codes] = np.arange(len(codes))
-    return codes, index
 
 
 def classify_from_pattern(ft_vanishes: bool, vanishing=()) -> StratumReport:

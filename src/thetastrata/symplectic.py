@@ -215,6 +215,22 @@ def _act_codes(gamma: SymplecticModTwo, codes: np.ndarray) -> np.ndarray:
     return ((bits @ m.T + (m[:, :g] * m[:, g:]).sum(axis=1)) & 1) @ (1 << places)
 
 
+@cache
+def _even_index(g: int) -> tuple[np.ndarray, np.ndarray]:
+    """The even codes in order, and each even code's position among them."""
+    codes = np.array([m.code for m in all_characteristics(g, "even")])
+    index = np.full(1 << (2 * g), -1)
+    index[codes] = np.arange(len(codes))
+    return codes, index
+
+
+def _even_slots(gamma: SymplecticInteger) -> np.ndarray:
+    """For each even m, in all_characteristics(g, "even") order, the index
+    of gamma . m in that order."""
+    codes, index = _even_index(gamma.genus)
+    return index[_act_codes(gamma.mod_two(), codes)]
+
+
 def affine_action(gamma, m: Characteristic) -> Characteristic:
     """gamma . m per the calibrated affine formula; preserves parity.
 

@@ -38,8 +38,9 @@ bound per square.
 
 siegel_reduction maps a point to a Siegel-reduced representative of its
 Sp(2g, Z) orbit (LLL on Im tau, shifts of Re tau, quasi-inversions), where
-det Im tau is largest and the ellipsoids smallest; classify sums there
-when the walk at tau is large.
+det Im tau is largest and the ellipsoids smallest.  _even_moduli, the
+one source of the constants behind classify and vanishing_set, sums
+there when the walk at tau is large.
 
 Arithmetic is double precision.  The tail bound of a ThetaValue covers
 truncation only, not the ~1e-15-per-term floating point floor;
@@ -59,7 +60,7 @@ import numpy as np
 
 from .chars import Characteristic, all_characteristics
 from .errors import CapExceededError
-from .symplectic import SymplecticInteger
+from .symplectic import SymplecticInteger, _even_slots
 
 __all__ = [
     "SiegelPoint",
@@ -91,6 +92,12 @@ _CUT_SLACK = 1e-9  # widens the ellipsoid past the rounding of its Cholesky sums
 # each round of siegel_reduction raises det Im tau; the cap only bounds
 # the work on a point whose float rounding stalls that rise
 _REDUCTION_ROUNDS = 64
+# _even_moduli sums at the Siegel-reduced representative only when the walk
+# at tau would visit more than this many lattice points: on the perfbench
+# plans (seeds 1-2) reducing cost a median 0.21 ms on the 75 points whose
+# walk held at most 5,100 points and saved a median 0.19 ms, up to 0.58 ms,
+# on the 11 from 5,550 up (radius 7-8 images)
+REDUCE_WALK = 5_300
 _UNIT = np.finfo(float).eps / 2  # unit roundoff
 
 
@@ -354,6 +361,40 @@ def _even_squares(point: SiegelPoint, target: float):
     return squares, bounds[eps] * (1 + 1e-6)
 
 
+def _even_moduli(point: SiegelPoint, target: float):
+    """(values, error): the even theta constants at tau up to a factor
+    common to all of them, in all_characteristics(g, "even") order, as
+    square roots of _even_squares for target, and bounds on the errors of
+    their moduli.
+
+    The squares are summed at the siegel_reduction gamma o tau when the
+    walk at tau is large (_walk above REDUCE_WALK), else at tau.  As
+    theta_{gamma.m}(gamma o tau)^8 = det(C tau + D)^4 theta_m(tau)^8, slot
+    gamma . m then holds the constant of m, and each error adds the bound
+    drift puts on the constants of gamma o tau."""
+    gamma, reduced, drift = siegel_reduction(point) if _walk(point, target) > REDUCE_WALK else (None, point, 0.0)
+    squares, bounds = _even_squares(reduced, target)
+    values, error = np.sqrt(squares), np.sqrt(bounds) + _drift_bound(reduced, drift)
+    if reduced is point:
+        return values, error
+    slots = _even_slots(gamma)
+    return values[slots], error[slots]
+
+
+def _walk(point: SiegelPoint, target: float) -> float:
+    """The lattice points the walk of _even_squares for target visits at
+    tau, estimated by half the volume of its ellipsoid
+    m^T Im(tau/2) m <= C, (2 pi C)^{g/2} / (2 Gamma(g/2 + 1) sqrt(det Im tau)),
+    with C the cut of _truncation at 2 tau; inf when the box radius at
+    2 tau passes the cap."""
+    try:
+        cut = _truncation(_doubled(point), target)[2]
+    except CapExceededError:
+        return math.inf
+    g = point.genus
+    return (2 * math.pi * cut) ** (g / 2) / (2 * math.gamma(g / 2 + 1) * math.sqrt(np.linalg.det(point.tau.imag)))
+
+
 def _doubled(point: SiegelPoint) -> SiegelPoint:
     """The point 2 tau with lambda_min doubled, both exact in floating point."""
     return SiegelPoint(point.genus, point.tau * 2, point.lambda_min * 2)
@@ -398,10 +439,8 @@ def _class_sums(point: SiegelPoint, target: float):
     terms of second order in u while n u stays below 1e-7.
     """
     g = point.genus
-    radius = truncation_radius(point, target)
-    tail = truncation_tail_bound(g, point.lambda_min, radius)
+    radius, truncation, bound = _truncation(point, target)
     edge = 2 * radius + 1
-    truncation, bound = _cut(edge**g, tail, target)
     form = point.tau / 4
     chol = np.linalg.cholesky(form.imag)
     low = point.lambda_min / 4

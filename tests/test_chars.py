@@ -10,11 +10,11 @@ from thetastrata.chars import (
     even_count,
     n_k,
     odd_count,
-    pairing,
     parity,
     product_split_tuple,
     split,
 )
+from thetastrata.classify import _plane_table
 
 from oracles import brute_force_parity_census
 
@@ -175,7 +175,7 @@ def test_code_operations_match_tuple_definitions(parts):
     xor = Characteristic(g, tuple(a ^ b for a, b in zip(e1, e2)), tuple(a ^ b for a, b in zip(d1, d2)))
     assert add(m1, m2) == xor
     expected = (sum(a * b for a, b in zip(e1, d2)) + sum(a * b for a, b in zip(e2, d1))) % 2
-    assert pairing(m1.code, m2.code, g) == expected
+    assert _plane_table(g).pairs[m1.code, m2.code] == expected
     joined = concat(m1, m2)
     assert joined == Characteristic(2 * g, e1 + e2, d1 + d2)
     e, d = e1 + e2, d1 + d2

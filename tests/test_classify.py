@@ -25,10 +25,6 @@ from thetastrata.classify import (
     StratumReport,
     _basis_element,
     _decide,
-    REDUCE_WALK,
-    _even_slots,
-    _representative,
-    _walk,
     _plane_table,
     _symplectic_basis,
     _vanishing,
@@ -41,16 +37,20 @@ from thetastrata.forms import _forms
 from thetastrata.errors import CapExceededError
 from thetastrata.symplectic import (
     SymplecticInteger,
+    _even_slots,
     act_on_tuple,
     affine_action,
     random_symplectic,
     tuples_equivalent,
 )
 from thetastrata.theta import (
+    REDUCE_WALK,
     _doubled,
     _drift_bound,
     _even_constants,
+    _even_moduli,
     _even_squares,
+    _walk,
     block_diag,
     even_theta_constants,
     generic_siegel_point,
@@ -178,7 +178,7 @@ class TestThreshold:
             raise AssertionError("theta constants summed before the threshold check")
 
         module = importlib.import_module("thetastrata.classify")
-        monkeypatch.setattr(module, "_even_squares", no_theta)
+        monkeypatch.setattr(module, "_even_moduli", no_theta)
         with pytest.raises(ValueError, match="got nan"):
             classify(generic_siegel_point(4, 1), rel_threshold=float("nan"))
         with pytest.raises(AssertionError, match="before the threshold check"):
@@ -906,7 +906,7 @@ class TestCoarseDecision:
         # b the direct route's truncation plus rounding bound, at the
         # point each route sums
         for point in evidence_points:
-            point = _representative(point)[1]
+            point = siegel_reduction(point).point if _walk(point, THETA_TARGET) > REDUCE_WALK else point
             squares, bounds = _even_squares(point, THETA_TARGET)
             values, truncation, rounding, _ = _even_constants(point, THETA_TARGET)
             b = truncation + rounding
@@ -1068,29 +1068,48 @@ class TestLongWords:
 
 class TestRepresentative:
     def test_small_walks_are_summed_at_tau(self):
-        # every generic and split22 plan point: classify's route is the
-        # one without the reduction
+        # every generic and split22 plan point: the moduli are the square
+        # roots of the squares at tau, without the reduction
         for workload in ("generic", "split22"):
             for point in _plan_points(workload, 1):
-                assert _walk(point) <= REDUCE_WALK
-                assert _representative(point) == (None, point, 0.0)
+                assert _walk(point, THETA_TARGET) <= REDUCE_WALK
+                squares, bounds = _even_squares(point, THETA_TARGET)
+                values, error = _even_moduli(point, THETA_TARGET)
+                assert (values == np.sqrt(squares)).all() and (error == np.sqrt(bounds)).all()
 
     def test_large_walks_are_summed_at_the_reduced_point(self):
+        # the walk shrinks, and slot gamma . m holds the constant of m
+        # with the drift bound added to its error
         points = [p for p in _plan_points("strata", 1) + [image for _, image in _long_words()]
-                  if _walk(p) > REDUCE_WALK]
+                  if _walk(p, THETA_TARGET) > REDUCE_WALK]
         assert len(points) >= 20
         for point in points:
-            gamma, reduced, drift = _representative(point)
-            assert reduced is not point and _walk(reduced) < _walk(point) / 2
+            gamma, reduced, drift = siegel_reduction(point)
+            assert reduced is not point and _walk(reduced, THETA_TARGET) < _walk(point, THETA_TARGET) / 2
+            squares, bounds = _even_squares(reduced, THETA_TARGET)
+            values, error = _even_moduli(point, THETA_TARGET)
+            slots = _even_slots(gamma)
+            assert (values == np.sqrt(squares)[slots]).all()
+            assert (error == (np.sqrt(bounds) + _drift_bound(reduced, drift))[slots]).all()
 
     def test_walk_estimates_the_points_visited(self):
-        # the volume estimate against the points the walk actually visits
+        # the volume estimate against the points the walk actually visits,
+        # at genus 2, 3 and 4
         theta = importlib.import_module("thetastrata.theta")
-        for point in _plan_points("strata", 2):
+        points = _plan_points("strata", 2) + [random_siegel_point(g, s) for g in (2, 3) for s in range(1, 6)]
+        for point in points:
             visited = 0
-            doubled = _doubled(point)
-            radius, _, bound = theta._truncation(doubled, THETA_TARGET)
+            radius, _, bound = theta._truncation(_doubled(point), THETA_TARGET)
+            origin = np.zeros((1, point.genus))
             for chunk in theta._ellipsoid(point.tau[None] / 2, np.array([bound]), np.array([2 * radius + 1]),
-                                          np.zeros((1, 4)), np.zeros((1, 4)), half=True):
+                                          origin, origin, half=True):
                 visited += len(chunk[1])
-            assert 0.8 < _walk(point) / visited < 1.25
+            assert 0.8 < _walk(point, THETA_TARGET) / visited < 1.25, point.genus
+
+    def test_vanishing_set_is_classifys(self, evidence_points):
+        # one route to the moduli: the same members, margin and warning as
+        # classify's, on the L = 30 images whose walk at tau passes the
+        # radius cap too
+        for point in evidence_points:
+            rep, vrep = classify(point), vanishing_set(point)
+            assert (vrep.members, vrep.margin, vrep.warning) == (rep.vanishing, rep.margin, bool(rep.warnings))
