@@ -43,7 +43,7 @@ evens of genus 4 that are even on the genus-1 block: 31.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache
 from math import prod
 from typing import NamedTuple
 
@@ -80,7 +80,6 @@ MARGIN_FLOOR = 10.0
 # of the largest on generic_siegel_point(4, 1-10), below the default
 # threshold of 1e-6 (1e-12 would give 1.5e-6-1.6e-6)
 THETA_TARGET = 1e-14
-_MIX = np.uint64(0x9E3779B97F4A7C15)  # odd; folds a row of uint64 words into one
 
 
 @dataclass(frozen=True)
@@ -274,11 +273,10 @@ def detect_split(chars, k: int) -> SplitWitness:
     the chosen pair, as it is.  |I(P) & V| is the sum of V's rows of
     _PlaneTable.incidence, and the keys, masks & out over the evens out of
     V, are taken only for the candidates that pass: 1, 40, 40 and 112 of
-    the 5440 planes on 1+3, 2+2, 1+1+2 and 1+1+1+1 products.  Sorting
-    the key folds (by _MIX) with the candidate index in the low bits makes
-    each group a run in index order (an exact lexsort does if equal folds
-    hide unequal keys); offset d pairs each run position with the one d
-    further on, and the least rank (group, i, j) so far prunes the rest.
+    the 5440 planes on 1+3, 2+2, 1+1+2 and 1+1+1+1 products.  One stable
+    lexsort of the keys makes each group a run in index order; offset d
+    pairs each run position with the one d further on, and the least rank
+    (group, i, j) so far prunes the rest.
     Candidate indices increase with plane indices, so the ranks keep
     their order.
 
@@ -312,16 +310,9 @@ def _split(g: int, hits: np.ndarray, out: np.ndarray, k: int) -> SplitWitness:
         cand = np.flatnonzero(hits >= n_k(g, 2) // 2)
         keys = table.masks[:, cand] & out
         c = len(cand)
-        # one sort of key folds is about 3x faster than np.lexsort of the keys
-        low = np.uint64((1 << c.bit_length()) - 1)
-        fold = reduce(lambda h, word: (h + word) * _MIX, keys, np.uint64(0))
-        packed = np.sort(fold & ~low | np.arange(c, dtype=np.uint64))
-        ids, run = (packed & low).astype(np.int64), packed | low
+        ids = np.lexsort(keys)
+        run = np.cumsum(np.r_[True, (keys[:, ids[1:]] != keys[:, ids[:-1]]).any(axis=0)])
         pos = np.flatnonzero(run[1:] == run[:-1])
-        if not (keys[:, ids[pos]] == keys[:, ids[pos + 1]]).all():
-            ids = np.lexsort(keys)
-            run = np.cumsum(np.r_[True, (keys[:, ids[1:]] != keys[:, ids[:-1]]).any(axis=0)])
-            pos = np.flatnonzero(run[1:] == run[:-1])
         lead = ids[np.searchsorted(run, run[pos])] * c + ids[pos]
         stop = np.searchsorted(run, run[pos], side="right")
         e, f, meets = table.e[cand], table.f[cand], table.pairs

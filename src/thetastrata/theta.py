@@ -189,18 +189,26 @@ def truncation_tail_bound(g: int, lambda_min: float, radius: int, z_im_norm: flo
 
 
 def truncation_radius(point: SiegelPoint, target: float, z_im_norm: float = 0.0) -> int:
-    """Smallest box radius whose certified tail bound is below target.
+    """Smallest box radius whose certified tail bound is below target."""
+    return _truncation(point, target, z_im_norm)[0]
 
-    The search starts where the bound's first term can drop below target:
-    at z = 0 a radius with exp(-pi lambda_min (R - 1/2)^2) > target has a
-    first term, at least twice that, above target, so it is skipped
+
+def _truncation(point: SiegelPoint, target: float, z_im: float = 0.0, lift: float = 0.0):
+    """(radius, tail_bound, bound) of one theta sum: the box radius R of
+    truncation_radius, the two-part error bound and the enumeration bound
+    C + lift on q (lift is L), widened past the rounding of the
+    enumeration's Cholesky sums.
+
+    The search for R starts where the bound's first term can drop below
+    target: at z = 0 a radius with exp(-pi lambda_min (R - 1/2)^2) > target
+    has a first term, at least twice that, above target, so it is skipped
     without summing its tail (one radius lower, for rounding).
     """
     if not 0 < target < math.inf:
         raise ValueError(f"target must be positive and finite, got {target}")
-    lam = point.lambda_min
-    radius = max(1, math.ceil(z_im_norm / lam + 0.5 + 1e-9))
-    if not z_im_norm and target < 1:
+    g, lam = point.genus, point.lambda_min
+    radius = max(1, math.ceil(z_im / lam + 0.5 + 1e-9))
+    if not z_im and target < 1:
         radius = max(radius, math.ceil(0.5 + math.sqrt(math.log(1 / target) / (math.pi * lam))) - 1)
     while True:
         if radius > DEFAULT_RADIUS_CAP:
@@ -208,26 +216,14 @@ def truncation_radius(point: SiegelPoint, target: float, z_im_norm: float = 0.0)
                 f"truncation radius cap {DEFAULT_RADIUS_CAP} exceeded for target {target:.1e} "
                 f"at lambda_min {lam:.3e}"
             )
-        if truncation_tail_bound(point.genus, lam, radius, z_im_norm) < target:
-            return radius
+        tail = truncation_tail_bound(g, lam, radius, z_im)
+        if tail < target:
+            break
         radius += 1
-
-
-def _truncation(point: SiegelPoint, target: float, z_im: float = 0.0, lift: float = 0.0):
-    """(radius, tail_bound, bound) of one theta sum: the box radius R, the
-    two-part error bound and the enumeration bound C + lift on q (lift is
-    L), widened past the rounding of the enumeration's Cholesky sums."""
-    radius = truncation_radius(point, target, z_im)
-    tail = truncation_tail_bound(point.genus, point.lambda_min, radius, z_im)
-    return (radius, *_cut((2 * radius + 1) ** point.genus, tail, target, lift))
-
-
-def _cut(n_box: int, tail: float, target: float, lift: float = 0.0):
-    """(tail_bound, bound) of the points q <= C + lift of a box of n_box
-    points whose tail is `tail`, with C chosen for `target`."""
+    n_box = (2 * radius + 1) ** g
     cut = math.log(2 * n_box / (target - tail)) / math.pi
     dropped = n_box * math.exp(-math.pi * cut) * (1 + 1e-12)  # padded past float rounding
-    return tail + dropped, (cut + lift) * (1 + _CUT_SLACK)
+    return radius, tail + dropped, (cut + lift) * (1 + _CUT_SLACK)
 
 
 def theta_functions(chars, zs, points, target: float) -> list[ThetaValue]:
@@ -535,10 +531,7 @@ def _ellipsoid(forms: np.ndarray, bounds, edges, centers, shifts, half: bool = F
                 yield from expand(part[cut], zero[cut], q[cut], phase[cut], cls[cut], prob[cut], i)
             return
         new = (first - (np.cumsum(count) - count)).repeat(count) + np.arange(total)
-        if prob[0] == prob[-1]:  # one problem: its coefficients broadcast
-            diag, re_ii = diag[:1], re_ii[:1]
-        else:
-            diag, re_ii = diag.repeat(count), re_ii.repeat(count)
+        diag, re_ii = diag.repeat(count), re_ii.repeat(count)
         q = q.repeat(count) + (diag * (new - mid.repeat(count))) ** 2
         phase = phase.repeat(count) + new * (re_ii * new + (2 * lin).repeat(count))
         cls = cls.repeat(count) + ((new & 3) << (2 * i))
@@ -810,12 +803,15 @@ def point_to_json(point: SiegelPoint) -> dict:
 
 
 def point_from_json(obj: dict) -> SiegelPoint:
+    if not isinstance(obj, dict):
+        raise ValueError(f"a point must be a JSON object {{genus, tau}}, got {type(obj).__name__}")
     g = obj["genus"]
     if not (type(g) is int or isinstance(g, float) and g.is_integer()):
         raise ValueError(f"genus must be an integer, got {g!r}")
     g = int(g)
     rows = obj["tau"]
-    if len(rows) != g or any(len(row) != g for row in rows):
+    if not (type(rows) is list and len(rows) == g and all(type(row) is list and len(row) == g and all(
+            type(x) is list and len(x) == 2 and {type(v) for v in x} <= {int, float} for x in row) for row in rows)):
         raise ValueError(f"tau must be a {g}x{g} matrix of [re, im] pairs")
     tau = np.array([[complex(x[0], x[1]) for x in row] for row in rows])
     return validate_siegel(tau)

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -79,6 +81,24 @@ def test_bad_inputs():
         Characteristic(1, (2,), (0,))
     with pytest.raises(ValueError):
         Characteristic.from_string("01|0")
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: Characteristic(0, (), ()), "genus must be >= 1, got 0", id="genus-0"),
+    pytest.param(lambda: Characteristic(2, (0,), (0, 1)), "eps and delta must each have length genus", id="short-eps"),
+    pytest.param(lambda: Characteristic(2, (0, 1), (0, 1, 1)), "eps and delta must each have length genus",
+                 id="long-delta"),
+    pytest.param(lambda: Characteristic.from_code(2, 16), "no genus-2 characteristic has code 16", id="code-too-big"),
+    pytest.param(lambda: Characteristic.from_code(2, -1), "no genus-2 characteristic has code -1", id="code-negative"),
+    pytest.param(lambda: Characteristic.from_string("0a|01"), "malformed characteristic string: '0a|01'",
+                 id="non-binary-string"),
+    pytest.param(lambda: split(Characteristic.from_string("01|10"), 0),
+                 "split position must satisfy 1 <= k < genus, got k=0", id="split-at-0"),
+    pytest.param(lambda: CharTuple.from_strings([]), "empty tuple", id="empty-tuple"),
+])
+def test_input_guards(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 def test_product_split_tuple_genus_two():

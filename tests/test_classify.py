@@ -510,12 +510,6 @@ class TestSelectionRule:
                     res = detect_split(chars, k)
                     assert (res.found, res.witness, res.nodes) == _reference_split(g, chars, k)
 
-    def test_equal_folds_give_the_same_choice(self, block_13, block_22, block_112, monkeypatch):
-        # with every fold equal, each group is found by the exact fallback
-        sets = _selection_inputs(block_13, block_22, block_112)
-        monkeypatch.setattr(importlib.import_module("thetastrata.classify"), "_MIX", np.uint64(0))
-        self._check(sets)
-
     def test_candidate_bound(self, block_13, block_22, block_112):
         # detect_split keeps for k' = 2 only the planes whose key I(P) - V
         # has at most |I_1| - |I_2| / 2 elements: on tests/oracles.py's
@@ -1066,6 +1060,13 @@ class TestLongWords:
                     assert min(rep.margin, source.margin) >= MARGIN_FLOOR
 
 
+def _basis_change(point, n):
+    """U^T tau U for U = 1 + n E_12, as the action of diag(U^T, U^{-1})."""
+    u, u_inv, zero = np.eye(4, dtype=int), np.eye(4, dtype=int), np.zeros((4, 4), dtype=int).tolist()
+    u[0, 1], u_inv[0, 1] = n, -n
+    return siegel_action(SymplecticInteger(4, u.T.tolist(), zero, zero, u_inv.tolist()), point)
+
+
 class TestRepresentative:
     def test_small_walks_are_summed_at_tau(self):
         # every generic and split22 plan point: the moduli are the square
@@ -1106,6 +1107,23 @@ class TestRepresentative:
                 visited += len(chunk[1])
             assert 0.8 < _walk(point, THETA_TARGET) / visited < 1.25, point.genus
 
+    def test_walk_past_the_cap_is_summed_at_the_reduced_point(self):
+        # at lambda_min 1.5e-3 the box radius at 2 tau passes the cap, so
+        # _walk reads inf; the relative moduli, sorted (the slot map is not
+        # needed for them), match the source's within both errors, each
+        # counted twice for the division by the largest modulus
+        source = generic_siegel_point(4, 1)
+        point = _basis_change(source, 20)
+        assert point.lambda_min < 2e-3 and _walk(point, THETA_TARGET) == math.inf
+        allowance = 0
+        moduli = []
+        for p in (point, source):
+            values, error = _even_moduli(p, THETA_TARGET)
+            scale = np.abs(values).max()
+            moduli.append(np.sort(np.abs(values)) / scale)
+            allowance += 2 * error.max() / scale
+        assert np.abs(moduli[0] - moduli[1]).max() <= allowance < 1e-5
+
     def test_vanishing_set_is_classifys(self, evidence_points):
         # one route to the moduli: the same members, margin and warning as
         # classify's, on the L = 30 images whose walk at tau passes the
@@ -1113,3 +1131,17 @@ class TestRepresentative:
         for point in evidence_points:
             rep, vrep = classify(point), vanishing_set(point)
             assert (vrep.members, vrep.margin, vrep.warning) == (rep.vanishing, rep.margin, bool(rep.warnings))
+
+
+@pytest.mark.xfail(strict=True, raises=ValueError, reason=(
+    "classify refuses valid points in a badly conditioned basis: the representative is chosen by walk size "
+    "alone, which a GL(4, Z) change of basis barely moves, and siegel_reduction's drift bound is loose"))
+@pytest.mark.parametrize("seed, n", [(1, 3), (2, 5), (1, 20)])
+def test_badly_conditioned_basis_decides_as_its_source(seed, n):
+    # U^T tau U with U = 1 + n E_12 is the same point of A_4 as tau, an X0
+    # point with no vanishing constant; at the default threshold classify
+    # raises the resolution ValueError on it (CLI exit 1)
+    source = generic_siegel_point(4, seed)
+    assert classify(source).label == "X0" and classify(source).vanishing == ()
+    report = classify(_basis_change(source, n))
+    assert (report.label, report.vanishing) == ("X0", ())

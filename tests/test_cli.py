@@ -260,6 +260,27 @@ def test_non_finite_point_is_domain_error(capsys, tmp_path, entry, command):
     assert captured.err == "error: matrix has a non-finite entry (inf or nan)\n"
 
 
+@pytest.mark.parametrize("obj, message", [
+    ({"genus": 2, "tau": 5}, "tau must be a 2x2 matrix"),
+    ([1, 2], "a point must be a JSON object"),
+    ({"genus": 1, "tau": [[1]]}, "tau must be a 1x1 matrix"),
+    ({"genus": 1, "tau": [[[0]]]}, "tau must be a 1x1 matrix"),
+    ({"genus": 1, "tau": [[["a", 1]]]}, "tau must be a 1x1 matrix"),
+    ({"genus": 1, "tau": [[[0, None]]]}, "tau must be a 1x1 matrix"),
+    ({"genus": 1, "tau": [[[0, 1, 2]]]}, "tau must be a 1x1 matrix"),
+])
+@pytest.mark.parametrize("command", [["classify"], ["eval", "--form", "FT"]])
+def test_malformed_point_is_domain_error(capsys, tmp_path, obj, message, command):
+    # each of these once ended in a TypeError or IndexError traceback, and
+    # a third number in a pair was dropped without a word
+    path = tmp_path / "tau.json"
+    path.write_text(json.dumps(obj))
+    assert cli.run(command + ["--tau", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+
+
 def test_one_parser_serves_every_call(capsys, monkeypatch):
     # run reuses one parser; a call made after others, failed and
     # help-printing ones included, prints what it prints alone in a

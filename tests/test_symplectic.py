@@ -2,11 +2,13 @@ import hashlib
 import itertools
 import json
 import random
+import re
 from collections import deque
 
 import numpy as np
 import pytest
 
+import thetastrata.symplectic as symplectic
 from thetastrata.chars import (
     Characteristic,
     CharTuple,
@@ -286,6 +288,44 @@ def test_tuples_equivalent_reflexive_and_error_paths():
         tuples_equivalent(tup, single("0|0"))
     with pytest.raises(ValueError, match="genus"):
         tuples_equivalent(tup, CharTuple.from_strings(["00|00", "00|01"]))
+
+
+def _orbit_past_cap():
+    # the genus-2 orbit of 11|11 has 10 tuples; nothing near 2^24 is built
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(symplectic, "ORBIT_MEMORY_CAP", 10)
+        assert len(orbit_bfs(single("11|11"))) == 10
+        patch.setattr(symplectic, "ORBIT_MEMORY_CAP", 9)
+        orbit_bfs(single("11|11"))
+
+
+ZERO2, ONE2 = ((0, 0), (0, 0)), ((1, 0), (0, 1))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: SymplecticInteger(2, ((1, 0),), ZERO2, ZERO2, ONE2), ValueError, "block A must be 2x2",
+                 id="block-shape"),
+    pytest.param(lambda: SymplecticInteger(0, (), (), (), ()), ValueError, "block A must be 0x0", id="genus-0-blocks"),
+    pytest.param(lambda: SymplecticModTwo(1, ((1,),), ((2,),), ((0,),), ((1,),)), ValueError,
+                 "block B must have entries 0/1", id="mod-two-entry-2"),
+    pytest.param(lambda: setattr(SymplecticInteger.identity(1), "genus", 2), AttributeError,
+                 "SymplecticInteger is immutable", id="set-attribute"),
+    pytest.param(lambda: SymplecticInteger.identity(1) @ SymplecticInteger.identity(2), ValueError, "genus mismatch",
+                 id="product-across-genera"),
+    pytest.param(lambda: standard_generators(0), ValueError, "genus must be >= 1, got 0", id="generators-genus-0"),
+    pytest.param(lambda: affine_action("gamma", Characteristic.from_string("0|0")), TypeError,
+                 "expected a symplectic element, got str", id="action-of-non-element"),
+    pytest.param(lambda: affine_action(SymplecticInteger.identity(2), Characteristic.from_string("0|0")), ValueError,
+                 "genus mismatch: gamma has 2, m has 1", id="action-across-genera"),
+    pytest.param(lambda: act_on_tuple(SymplecticModTwo.identity(2), single("0|0")), ValueError,
+                 "genus mismatch: gamma has 2, tuple has 1", id="tuple-action-across-genera"),
+    pytest.param(lambda: orbit_profile(product_split_tuple(2, 1)).triple_parity(0, 0, 1), ValueError,
+                 "indices must be distinct and within range", id="repeated-triple-index"),
+    pytest.param(_orbit_past_cap, CapExceededError, "orbit exceeds memory cap 9", id="orbit-memory-cap"),
+])
+def test_input_guards(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
 
 
 def test_tuples_equivalent_matches_bfs_on_pairs():

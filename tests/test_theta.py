@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -93,6 +94,23 @@ class TestEigen:
                     true = min(mp.eigsy(mp.matrix(p.tau.imag.tolist()))[0])
                     assert p.lambda_min <= true
                     assert (true - p.lambda_min) / true <= 1e-12
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: validate_siegel(np.ones((2, 3))), "expected a square matrix, got shape (2, 3)",
+                 id="non-square"),
+    pytest.param(lambda: truncation_tail_bound(2, 1.0, 0), "radius must be >= 1, got 0", id="radius-0"),
+    pytest.param(lambda: truncation_tail_bound(2, 0.0, 3), "lambda_min must be positive", id="lambda-min-0"),
+    pytest.param(lambda: truncation_tail_bound(2, -1.0, 3), "lambda_min must be positive", id="lambda-min-negative"),
+    pytest.param(lambda: truncation_tail_bound(2, 1.0, 1, 1.0), "radius too small for this |Im z|",
+                 id="radius-below-im-z"),
+    pytest.param(lambda: siegel_action(SymplecticInteger.identity(2), validate_siegel(1j * np.eye(3))),
+                 "genus mismatch: gamma has 2, point has 3", id="action-across-genera"),
+    pytest.param(lambda: generic_siegel_point(0, 1), "genus must be >= 1, got 0", id="generic-genus-0"),
+])
+def test_input_guards(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 class TestTruncation:
