@@ -2,25 +2,7 @@
 
 from __future__ import annotations
 
-__all__ = ["reduce_row", "augment", "rref", "kernel_basis"]
-
-
-def reduce_row(row: int, pivots: dict[int, int]) -> int:
-    """Clear the top bit of row with the pivot row holding that top bit
-    (pivots maps top-bit position -> row) until no pivot matches; the
-    result is 0 exactly when row lies in the pivots' span."""
-    while row:
-        pivot = pivots.get(row.bit_length() - 1)
-        if pivot is None:
-            return row
-        row ^= pivot
-    return 0
-
-
-def augment(row: int) -> int:
-    """row with a constant 1 appended as its lowest bit; a relation among
-    augmented rows has even cardinality."""
-    return (row << 1) | 1
+__all__ = ["rref", "kernel_basis", "mask_to_indices"]
 
 
 def rref(rows) -> tuple[int, ...]:
@@ -31,7 +13,8 @@ def rref(rows) -> tuple[int, ...]:
     """
     pivots: dict[int, int] = {}  # top-bit position -> row with that pivot
     for row in rows:
-        row = reduce_row(row, pivots)
+        while row and (top := row.bit_length() - 1) in pivots:
+            row ^= pivots[top]
         if row:
             pivots[row.bit_length() - 1] = row
     # Clear every pivot bit from the other rows, lowest pivot first so a
@@ -47,21 +30,14 @@ def kernel_basis(vectors) -> tuple[int, ...]:
     """Canonical (rref) basis of {x in F2^p : sum_i x_i vectors[i] = 0}.
 
     Each kernel element is a bitmask with bit (p-1-i) standing for index
-    i, so masks compare MSB-first in index order.
+    i, so masks compare MSB-first in index order.  Row i of the reduction
+    is vectors[i] above an indicator bit for i.  A reduced row that keeps
+    a vector part has its pivot there, so the rows with none are the
+    reduced basis of the kernel in indicator bits.
     """
     p = len(vectors)
-    # Track combinations through an indicator tail; a row whose vector
-    # part cancels leaves the combination that produced it.  Every pivot
-    # has its top bit in the vector part, so reduction stops there.
-    pivots: dict[int, int] = {}
-    kernel: list[int] = []
-    for i, v in enumerate(vectors):
-        row = reduce_row((v << p) | (1 << (p - 1 - i)), pivots)
-        if row >> p:
-            pivots[row.bit_length() - 1] = row
-        else:
-            kernel.append(row)
-    return rref(kernel)
+    rows = rref((v << p) | (1 << (p - 1 - i)) for i, v in enumerate(vectors))
+    return tuple(row for row in rows if not row >> p)
 
 
 def mask_to_indices(mask: int, p: int) -> tuple[int, ...]:

@@ -267,22 +267,6 @@ class OrbitProfile:
     relation_basis: tuple[tuple[int, ...], ...]
     triple_parities: tuple[int, ...]
 
-    def triple_parity(self, i: int, j: int, k: int) -> int:
-        i, j, k = sorted((i, j, k))
-        if not 0 <= i < j < k < self.length:
-            raise ValueError("indices must be distinct and within range")
-        # position of (i, j, k) among lexicographic combinations
-        n = self.length
-
-        def c3(x):
-            return x * (x - 1) * (x - 2) // 6
-
-        def c2(x):
-            return x * (x - 1) // 2
-
-        pos = c3(n) - c3(n - i) + c2(n - i - 1) - c2(n - j) + (k - j - 1)
-        return self.triple_parities[pos]
-
 
 def orbit_profile(tup: CharTuple) -> OrbitProfile:
     """Compute the orbit invariants of a nonempty even tuple."""
@@ -290,7 +274,9 @@ def orbit_profile(tup: CharTuple) -> OrbitProfile:
     if p == 0:
         raise ValueError("empty tuple has no orbit profile")
     codes = [m.code for m in tup]
-    basis_masks = _gf2.kernel_basis([_gf2.augment(c) for c in codes])
+    # a constant 1 below each code: a relation among the augmented codes
+    # has even size, and its characteristics sum to zero
+    basis_masks = _gf2.kernel_basis([(c << 1) | 1 for c in codes])
     relation_basis = tuple(_gf2.mask_to_indices(mask, p) for mask in basis_masks)
     triples = tuple(code_parity(a ^ b ^ c, tup.genus) for a, b, c in itertools.combinations(codes, 3))
     return OrbitProfile(p, relation_basis, triples)

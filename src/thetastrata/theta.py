@@ -188,9 +188,9 @@ def truncation_tail_bound(g: int, lambda_min: float, radius: int, z_im_norm: flo
     return total * (1 + 1e-12) + 1e-320
 
 
-def truncation_radius(point: SiegelPoint, target: float, z_im_norm: float = 0.0) -> int:
+def truncation_radius(point: SiegelPoint, target: float) -> int:
     """Smallest box radius whose certified tail bound is below target."""
-    return _truncation(point, target, z_im_norm)[0]
+    return _truncation(point, target)[0]
 
 
 def _truncation(point: SiegelPoint, target: float, z_im: float = 0.0, lift: float = 0.0):
@@ -310,7 +310,7 @@ def _even_constants(point: SiegelPoint, target: float):
     classes (_class_sums); the bound adds those of all the classes.
     """
     sums, rounding, truncation, radius = _class_sums(point, target)
-    _, bins, weights = _even_tables(point.genus)
+    bins, weights = _even_tables(point.genus)[1:3]
     return (weights * sums[bins]).sum(axis=1), truncation, rounding.sum(), radius
 
 
@@ -344,7 +344,7 @@ def _even_squares(point: SiegelPoint, target: float):
     """
     g = point.genus
     sums, rounding, truncation, _ = _class_sums(_doubled(point), target)
-    sigma, pairs, eps, signs = _square_tables(g)
+    sigma, pairs, eps, signs = _even_tables(g)[3:]
 
     def fold(x):
         return np.bincount(sigma, x, 2**g)
@@ -549,35 +549,26 @@ def _ellipsoid(forms: np.ndarray, bounds, edges, centers, shifts, half: bool = F
 
 @cache
 def _even_tables(g: int):
-    """The point-independent part of even_theta_constants, built once per
-    genus: the even characteristics and, for each, the 2^g classes of
-    m mod 4 in its eps class with their weights i^{m . delta}.  Class
-    index b holds the m with m_j = digit j of b in base 4."""
+    """The point-independent part of the even constants and their squares,
+    built once per genus: the even characteristics; for each, the 2^g
+    classes of m mod 4 in its eps class with their weights i^{m . delta}
+    (class index b holds the m with m_j = digit j of b in base 4); sigma,
+    each class b as its class m mod 2, sum_j (m_j mod 2) 2^j;
+    pairs[e, s] = s ^ e over those classes; and for each even
+    characteristic its eps as such a class and the signs (-1)^{delta . s}
+    over s."""
     evens = all_characteristics(g, "even")
     eps = np.array([m.eps for m in evens])
     delta = np.array([m.delta for m in evens])
-    residues = (np.arange(1 << g)[:, None] >> np.arange(g)) & 1
+    bit = 1 << np.arange(g)
+    codes = np.arange(1 << g)
+    residues = (codes[:, None] >> np.arange(g)) & 1
     digits = eps[:, None, :] + 2 * residues[None, :, :]
     bins = (digits << (2 * np.arange(g))).sum(axis=2)
     weights = np.array([1, 1j, -1, -1j])[(digits * delta[:, None, :]).sum(axis=2) % 4]
-    return evens, bins, weights
-
-
-@cache
-def _square_tables(g: int):
-    """The point-independent part of _even_squares, built once per genus:
-    sigma, each class b of m mod 4 as its class m mod 2,
-    sum_j (m_j mod 2) 2^j; pairs[e, s] = s ^ e over those classes; and
-    for each even characteristic its eps as such a class and the signs
-    (-1)^{delta . s} over s."""
-    evens = all_characteristics(g, "even")
-    bit = 1 << np.arange(g)
-    eps = np.array([m.eps for m in evens]) @ bit
-    delta = np.array([m.delta for m in evens]) @ bit
-    codes = np.arange(1 << g)
     sigma = ((np.arange(4**g)[:, None] >> (2 * np.arange(g))) & 1) @ bit
-    odd = np.array([c.bit_count() & 1 for c in range(1 << g)])
-    return sigma, codes[None, :] ^ codes[:, None], eps, 1.0 - 2 * odd[delta[:, None] & codes]
+    signs = 1.0 - 2 * ((delta @ residues.T) & 1)
+    return evens, bins, weights, sigma, codes[None, :] ^ codes[:, None], eps @ bit, signs
 
 
 class SiegelReduction(NamedTuple):
@@ -725,8 +716,9 @@ def _lll(tau: list[list[complex]], top: list[list[int]], bottom: list[list[int]]
 
 
 def block_diag(point1: SiegelPoint, point2: SiegelPoint) -> SiegelPoint:
-    """Block-diagonal join; the genera add and lambda_min is the minimum
-    of the factors'."""
+    """Block-diagonal join; the genera add.  validate_siegel certifies
+    the joined tau again, so its lambda_min is a bound of its own, which
+    can differ in the last bit from the minimum of the factors'."""
     g1, g2 = point1.genus, point2.genus
     tau = np.zeros((g1 + g2, g1 + g2), dtype=complex)
     tau[:g1, :g1] = point1.tau

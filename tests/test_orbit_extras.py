@@ -43,6 +43,28 @@ class TestGF2:
                 acc ^= vectors[i]
             assert acc == 0 and idx
 
+    @given(st.lists(st.integers(0, 2**8 - 1), max_size=10))
+    def test_kernel_matches_brute_force(self, vectors):
+        # oracle: every index mask over the p vectors whose XOR is zero
+        p = len(vectors)
+        kernel = set()
+        for mask in range(1 << p):
+            acc = 0
+            for i in mask_to_indices(mask, p):
+                acc ^= vectors[i]
+            if acc == 0:
+                kernel.add(mask)
+        basis = kernel_basis(vectors)
+        span = {0}
+        for b in basis:
+            span |= {x ^ b for x in span}
+        assert span == kernel and len(span) == 1 << len(basis)
+        # reduced and sorted: no row's top bit is set in another row
+        assert list(basis) == sorted(basis, reverse=True)
+        for b in basis:
+            top = b.bit_length() - 1
+            assert all(not (other >> top) & 1 for other in basis if other != b)
+
     def test_kernel_dimension(self):
         # rank-nullity over a crafted list with known rank
         vectors = [0b001, 0b010, 0b011, 0b100, 0b111]

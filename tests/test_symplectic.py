@@ -258,7 +258,6 @@ def test_orbit_profile_triple():
     prof = orbit_profile(CharTuple.from_strings(["0|0", "0|1", "1|0"]))
     # 0|0 + 0|1 + 1|0 = 1|1, which is odd
     assert prof.triple_parities == (1,)
-    assert prof.triple_parity(0, 1, 2) == 1
     assert prof.relation_basis == ()
 
 
@@ -273,7 +272,6 @@ def test_orbit_profile_triple_parity_indexing():
     for pos, (i, j, k) in enumerate(itertools.combinations(range(6), 3)):
         expected = parity(add(add(tup[i], tup[j]), tup[k]))
         assert prof.triple_parities[pos] == expected
-        assert prof.triple_parity(i, j, k) == expected
 
 
 def test_empty_tuple_profile_rejected():
@@ -319,8 +317,6 @@ ZERO2, ONE2 = ((0, 0), (0, 0)), ((1, 0), (0, 1))
                  "genus mismatch: gamma has 2, m has 1", id="action-across-genera"),
     pytest.param(lambda: act_on_tuple(SymplecticModTwo.identity(2), single("0|0")), ValueError,
                  "genus mismatch: gamma has 2, tuple has 1", id="tuple-action-across-genera"),
-    pytest.param(lambda: orbit_profile(product_split_tuple(2, 1)).triple_parity(0, 0, 1), ValueError,
-                 "indices must be distinct and within range", id="repeated-triple-index"),
     pytest.param(_orbit_past_cap, CapExceededError, "orbit exceeds memory cap 9", id="orbit-memory-cap"),
 ])
 def test_input_guards(call, error, message):
